@@ -302,6 +302,8 @@ let rec map_expr info (e : Ast.expr) : Ast.expr =
   | Ast.Eagg (f, arg, d) -> Ast.Eagg (f, Option.map (map_expr info) arg, d)
   | Ast.Eregex (a, p, fl) -> Ast.Eregex (map_expr info a, p, fl)
 
+let pattern_info t pat_id = List.find (fun p -> p.pat_id = pat_id) t.patterns
+
 let pattern_columns t info =
   let cols = ref [] in
   let add v = if not (List.mem v !cols) then cols := v :: !cols in
@@ -410,6 +412,46 @@ let join_plan ?star_order t =
   order_edges ~star_order
     ~star_ids:(List.map (fun s -> s.cs_id) t.stars)
     ~edges:t.edges
+
+type step = { joined : Star.endpoint; added : Star.endpoint; prefix : int list }
+
+let walk plan =
+  match plan with
+  | [] -> []
+  | (first : Star.edge) :: rest ->
+    let seed =
+      {
+        joined = first.left;
+        added = first.right;
+        prefix = [ first.left.star; first.right.star ];
+      }
+    in
+    let add (last, steps) (e : Star.edge) =
+      let has (p : Star.endpoint) = List.mem p.star last.prefix in
+      let step joined added =
+        let s = { joined; added; prefix = last.prefix @ [ added.Star.star ] } in
+        (s, s :: steps)
+      in
+      match (has e.left, has e.right) with
+      | true, false -> step e.left e.right
+      | false, true -> step e.right e.left
+      | true, true -> (last, steps) (* closes a cycle: nothing to add *)
+      | false, false -> invalid_arg "Composite.walk: edge plan is not left-deep"
+    in
+    let _, steps = List.fold_left add (seed, [ seed ]) rest in
+    List.rev steps
+
+let fold_walk plan ~first ~next =
+  match plan with
+  | Error msg -> failwith msg
+  | Ok plan -> (
+    match walk plan with
+    | [] -> failwith "multi-star pattern without join edges"
+    | seed :: steps ->
+      fst
+        (List.fold_left
+           (fun (acc, i) step -> (next i acc step, i + 1))
+           (first seed, 1) steps))
 
 let pp_ctp ids ppf c =
   let secondary = not (List.for_all (fun id -> List.mem id c.owners) ids) in

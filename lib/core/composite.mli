@@ -83,6 +83,10 @@ val map_var : pattern_info -> Ast.var -> Ast.var
     variables. *)
 val map_expr : pattern_info -> Ast.expr -> Ast.expr
 
+(** [pattern_info t pat_id] is the bookkeeping of pattern [pat_id] (a
+    subquery id). @raise Not_found when no pattern has that id. *)
+val pattern_info : t -> int -> pattern_info
+
 (** [pattern_columns t info] is the composite variables carrying pattern
     [info]'s bindings: mapped subject and object variables of the
     pattern's triples, distinct, in order. *)
@@ -113,5 +117,32 @@ val order_edges :
     given, with the same fallback semantics as {!order_edges}). Errors
     when the pattern is disconnected. *)
 val join_plan : ?star_order:int list -> t -> (Star.edge list, string) result
+
+(** One step of a left-deep join sequence. The first step joins two
+    scanned stars: [joined] is the seed star's endpoint and [added] the
+    other one. Every later step joins the star of [added] onto the
+    result so far, through [joined], an endpoint on a star already
+    joined. [prefix] lists every star joined once the step is done, in
+    visit order. *)
+type step = { joined : Star.endpoint; added : Star.endpoint; prefix : int list }
+
+(** [walk plan] is the one translation of an edge plan ({!order_edges},
+    {!join_plan}) into left-deep join steps, shared by all four engines
+    and the planner: the first edge's pair, then one step per later
+    edge that adds a star. An edge whose two stars are already joined
+    closes a cycle of the join graph and adds no step; the equality it
+    states is enforced anyway, by the natural join on the shared
+    variable's column (Hive) or by binding extraction (NTGA).
+    @raise Invalid_argument when an edge touches no joined star. *)
+val walk : Star.edge list -> step list
+
+(** [fold_walk plan ~first ~next] runs the left-deep join sequence of
+    [plan]: [first] joins the seed pair, then [next i acc step] adds the
+    [i]-th later step (numbered from 1) to the result so far.
+    @raise Failure with the planning error when [plan] is [Error], or
+    when it has no edge. *)
+val fold_walk :
+  (Star.edge list, string) result ->
+  first:(step -> 'a) -> next:(int -> 'a -> step -> 'a) -> 'a
 
 val pp : t Fmt.t

@@ -77,7 +77,6 @@ type verifier = kind -> Analytical.t -> Table.t -> string list
 let default_verifier : verifier ref = ref (fun _ _ _ -> [])
 
 let set_default_verifier f = default_verifier := f
-let set_plan_verifier = set_default_verifier
 
 type session = { s_kind : kind; s_input : input; s_verifier : verifier }
 
@@ -96,54 +95,36 @@ let prepare ?verifier kind input =
 
 let session_kind s = s.s_kind
 let session_input s = s.s_input
-let session_verifier s = s.s_verifier
+
+let guard f =
+  try Ok (f ()) with
+  | Workflow.Aborted a -> Error (Job_failed a)
+  | Failure msg | Invalid_argument msg -> Error (Plan_rejected msg)
+
+let verify session ctx query table =
+  if not (Exec_ctx.verify_plans ctx) then Ok table
+  else
+    (* Verification is pure and runs no simulated jobs, so the trace and
+       counters — the cost-model outputs — are untouched. *)
+    match session.s_verifier session.s_kind query table with
+    | [] -> Ok table
+    | problems -> Error (Verify_failed { kind = session.s_kind; problems })
 
 let execute session ctx query =
-  let { s_kind = kind; s_input = input; s_verifier } = session in
-  let result =
-    (* A workflow that exhausts its whole-job retries surfaces as a
-       structured error, never an escaping exception. *)
-    try
-      Result.map_error
-        (fun msg -> `Msg msg)
-        (match kind with
-        | Hive_naive -> Hive_naive.run ctx (Lazy.force input.vp) query
-        | Hive_mqo -> Hive_mqo.run ctx (Lazy.force input.vp) query
-        | Rapid_plus -> Rapid_plus.run ctx (Lazy.force input.tg_store) query
-        | Rapid_analytics ->
-          Rapid_analytics.run ctx (Lazy.force input.tg_store) query)
-    with Workflow.Aborted a -> Error (`Aborted a)
+  let input = session.s_input in
+  let run () =
+    match session.s_kind with
+    | Hive_naive -> Hive_naive.run ctx (input_vp input) query
+    | Hive_mqo -> Hive_mqo.run ctx (input_vp input) query
+    | Rapid_plus -> Rapid_plus.run ctx (input_tg_store input) query
+    | Rapid_analytics -> Rapid_analytics.run ctx (input_tg_store input) query
   in
-  match result with
-  | Error (`Aborted a) -> Error (Job_failed a)
-  | Error (`Msg msg) -> Error (Plan_rejected msg)
-  | Ok (table, stats) -> (
-    let output = { table; stats; trace = Exec_ctx.trace ctx } in
-    if not (Exec_ctx.verify_plans ctx) then Ok output
-    else
-      (* Verification is pure and runs no simulated jobs, so the trace
-         and counters — the cost-model outputs — are untouched. *)
-      match s_verifier kind query table with
-      | [] -> Ok output
-      | problems -> Error (Verify_failed { kind; problems }))
+  Result.bind (guard run) (fun (table, stats) ->
+      Result.map
+        (fun table -> { table; stats; trace = Exec_ctx.trace ctx })
+        (verify session ctx query table))
 
 let execute_sparql session ctx src =
   match Analytical.parse src with
   | Error msg -> Error (Parse_error msg)
   | Ok query -> execute session ctx query
-
-(* --- deprecated shims ---------------------------------------------------- *)
-
-let run kind ctx input query =
-  Result.map_error error_message
-    (execute (prepare kind input) ctx query)
-
-let run_sparql kind ctx input src =
-  Result.map_error error_message
-    (execute_sparql (prepare kind input) ctx src)
-
-let run_with_options kind options input query =
-  run kind (Plan_util.context options) input query
-
-let run_sparql_with_options kind options input src =
-  run_sparql kind (Plan_util.context options) input src

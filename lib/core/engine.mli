@@ -41,7 +41,7 @@ val graph_of_input : input -> Graph.t
 (** The prepared storage layouts, forcing them on first use: the
     vertically partitioned tables the Hive engines scan, and the
     triplegroup store the NTGA engines scan. Exposed for {!Batch_exec},
-    which drives the engines' composite primitives directly. *)
+    which runs the sharing engines' composite plans directly. *)
 val input_vp : input -> Rapida_relational.Vp_store.t
 
 val input_tg_store : input -> Rapida_ntga.Tg_store.t
@@ -75,9 +75,7 @@ type error =
 
 val pp_error : error Fmt.t
 
-(** [error_message e] is the one-line rendering of [e] — identical to the
-    strings the deprecated [(output, string) result] entry points
-    returned, so shimmed callers observe unchanged messages. *)
+(** [error_message e] is the one-line rendering of [e]. *)
 val error_message : error -> string
 
 (** [error_exit_code e] maps an error onto the CLI's exit-code
@@ -117,10 +115,19 @@ val prepare : ?verifier:verifier -> kind -> input -> session
 val session_kind : session -> kind
 val session_input : session -> input
 
-(** The verifier this session captured at {!prepare} time. Exposed so
-    {!Batch_exec} can verify shared-plan members exactly as {!execute}
-    verifies solo runs. *)
-val session_verifier : session -> verifier
+(** [guard f] runs an engine evaluation and maps what the engines raise
+    onto {!error}, in one place for {!execute} and {!Batch_exec}:
+    {!Workflow.Aborted} becomes [Job_failed], and [Failure] or
+    [Invalid_argument] (no plan for the query) becomes [Plan_rejected]. *)
+val guard : (unit -> 'a) -> ('a, error) result
+
+(** [verify session ctx query table] is [Ok table], unless [ctx] has
+    {!Exec_ctx.verify_plans} set and the verifier [session] captured at
+    {!prepare} time reports problems with [table] as the result of
+    [query]. {!execute} verifies solo runs with it, {!Batch_exec} the
+    members of a shared plan. *)
+val verify :
+  session -> Exec_ctx.t -> Analytical.t -> Table.t -> (Table.t, error) result
 
 (** [execute session ctx query] evaluates an analytical query with the
     session's engine, recording telemetry into [ctx]. When the context
@@ -141,33 +148,3 @@ val execute_sparql :
     this one. Affects only sessions prepared {e after} the call;
     existing sessions keep the verifier they captured. *)
 val set_default_verifier : verifier -> unit
-
-val set_plan_verifier : verifier -> unit
-[@@ocaml.deprecated
-  "Use set_default_verifier (and per-session ?verifier on prepare); this \
-   alias will be removed next release."]
-
-val run :
-  kind -> Exec_ctx.t -> input -> Analytical.t -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute (prepare kind input) ctx query; this shim will be removed \
-   next release."]
-
-val run_sparql :
-  kind -> Exec_ctx.t -> input -> string -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute_sparql (prepare kind input) ctx src; this shim will be \
-   removed next release."]
-
-val run_with_options :
-  kind -> Plan_util.options -> input -> Analytical.t ->
-  (output, string) result
-[@@ocaml.deprecated
-  "Use execute (prepare kind input) (Plan_util.context options) query; \
-   this shim will be removed next release."]
-
-val run_sparql_with_options :
-  kind -> Plan_util.options -> input -> string -> (output, string) result
-[@@ocaml.deprecated
-  "Use execute_sparql (prepare kind input) (Plan_util.context options) \
-   src; this shim will be removed next release."]

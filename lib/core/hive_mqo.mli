@@ -16,25 +16,22 @@ module Table = Rapida_relational.Table
 module Vp_store = Rapida_relational.Vp_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx vp q] evaluates [q]: the composite plan of its subqueries
+    when they overlap ({!run_composite} with [q] as the one member),
+    else {!Hive_naive.run}.
+    @raise Failure or [Invalid_argument] when no plan exists, and
+    {!Rapida_mapred.Workflow.Aborted} when a job exhausts its retries. *)
 val run :
-  Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t -> Table.t * Stats.t
 
-(** The pieces of the composite plan, exposed so the query server's
-    cross-query MQO ({!Batch_exec}) can share one composite evaluation
-    across several concurrent queries. *)
-
-(** [eval_composite wf vp composite] materializes the composite pattern:
-    one multiway star join per composite star plus one pair join per
-    join edge, all recorded on [wf]. *)
-val eval_composite :
-  Rapida_mapred.Workflow.t -> Vp_store.t -> Composite.t -> Table.t
-
-(** [extract_and_aggregate wf composite q_opt sq info] extracts pattern
-    [info]'s distinct bindings from the materialized composite result
-    [q_opt] and aggregates them per [sq] (whose [sq_id] must equal
-    [info.pat_id]) — one distinct-projection cycle plus one aggregation
-    cycle. *)
-val extract_and_aggregate :
-  Rapida_mapred.Workflow.t -> Composite.t -> Table.t ->
-  Analytical.subquery -> Composite.pattern_info -> Table.t
+(** [run_composite ctx vp composite members] evaluates [composite] once
+    for several member queries — the cross-query MQO of the query server
+    ({!Batch_exec}) — and returns the workflow it ran with one result
+    table per member, in order. The composite is materialized once; then
+    each member subquery's distinct bindings are extracted and
+    aggregated, and each member's aggregates are final-joined. Member
+    subquery ids are the composite's pattern ids. A solo run is the
+    one-member case. Raises as {!run}. *)
+val run_composite :
+  Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Composite.t -> Analytical.t list ->
+  Rapida_mapred.Workflow.t * Table.t list

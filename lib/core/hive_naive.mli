@@ -13,6 +13,9 @@ module Table = Rapida_relational.Table
 module Vp_store = Rapida_relational.Vp_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx vp q] evaluates [q] and returns its result with the
+    statistics of the jobs it ran.
+    @raise Failure or [Invalid_argument] when no plan exists, and
+    {!Rapida_mapred.Workflow.Aborted} when a job exhausts its retries. *)
 val run :
-  Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Rapida_mapred.Exec_ctx.t -> Vp_store.t -> Analytical.t -> Table.t * Stats.t

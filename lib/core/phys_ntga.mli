@@ -29,6 +29,12 @@ type source =
     }
   | Pre of Joined.t list
 
+(** [matches source] is what a map phase reading [source] sees: the
+    refined triplegroups as one-part joined triplegroups, or the previous
+    cycle's output. A single-star pattern feeds this straight into its
+    Agg-Join, with no join cycle. *)
+val matches : source -> Joined.t list
+
 (** [join_cycle wf ~name ~left ~right ~left_key ~right_key ~keep] runs one
     MR cycle joining the two sources on their key values, keeping only
     combined triplegroups for which [keep] holds (the α-condition test). *)

@@ -43,21 +43,12 @@ type options = {
           invariants and result schema with the registered static plan
           verifier (see {!Engine.set_default_verifier}). Pure and
           out-of-band — cost-model outputs are unchanged. *)
-  analyze : bool;
-      (** request the static cardinality analysis report alongside
-          execution (the [query --analyze] hook; see
-          {!Rapida_mapred.Exec_ctx.analyze}). Off by default; engines
-          never read it, so outputs are byte-identical either way. *)
-  optimize : bool;
-      (** arm the cost-based planner ([Rapida_planner]): engines consult
-          [join_orders] for enumerated star-join orders. Off by default;
-          with it off (and [join_orders] empty) plans are byte-identical
-          to the heuristic pre-optimizer behavior. *)
   join_orders : (int * int list) list;
       (** optimizer-chosen star-id join orders, keyed by subquery id
           (reserved key [-1]: the composite MQO plan's [cs_id] order).
           Produced by [Rapida_planner.plan]; see
-          {!Rapida_mapred.Exec_ctx.join_order}. *)
+          {!Rapida_mapred.Exec_ctx.join_order}. Empty by default, which
+          keeps the heuristic pre-optimizer plans. *)
 }
 
 val default_options : options
@@ -76,8 +67,6 @@ val make :
   ?faults:Rapida_mapred.Fault_injector.config ->
   ?checkpoint:Rapida_mapred.Checkpoint.config ->
   ?verify_plans:bool ->
-  ?analyze:bool ->
-  ?optimize:bool ->
   ?join_orders:(int * int list) list ->
   unit -> options
 
@@ -87,7 +76,7 @@ val make :
     skipping the cost-based shuffle/broadcast decision. Answers are
     unchanged — this is the query server's cheap-heuristic-plan rung of
     the degradation ladder. Optimizer hints are dropped too
-    ([optimize = false], [join_orders = []]): degraded execution is the
+    ([join_orders = []]): degraded execution is the
     misestimate-defense fallback and must use the heuristic order. *)
 val degrade_options : options -> options
 
@@ -173,3 +162,11 @@ val push_star_filters :
   Rapida_sparql.Star.t -> Ast.expr list ->
   (Rapida_ntga.Triplegroup.t -> Rapida_ntga.Triplegroup.t option)
   * Ast.expr list * Ast.expr list
+
+(** [pending_filters planner stars filters] is the part of [filters] no
+    star of [stars] consumes map-side under {!push_star_filters} — all
+    of them when the planner's filter pushdown is off. The NTGA engines
+    evaluate these during aggregation. *)
+val pending_filters :
+  Exec_ctx.planner -> Rapida_sparql.Star.t list -> Ast.expr list ->
+  Ast.expr list

@@ -10,9 +10,12 @@ module Table = Rapida_relational.Table
 module Tg_store = Rapida_ntga.Tg_store
 module Stats = Rapida_mapred.Stats
 
+(** [run ctx store q] evaluates [q] and returns its result with the
+    statistics of the jobs it ran.
+    @raise Failure or [Invalid_argument] when no plan exists, and
+    {!Rapida_mapred.Workflow.Aborted} when a job exhausts its retries. *)
 val run :
-  Rapida_mapred.Exec_ctx.t -> Tg_store.t -> Analytical.t ->
-  (Table.t * Stats.t, string) result
+  Rapida_mapred.Exec_ctx.t -> Tg_store.t -> Analytical.t -> Table.t * Stats.t
 
 (** [star_reqs star] is the property requirements of a star pattern
     (bound properties, plus object constraints for constant objects).

@@ -30,26 +30,15 @@ let fingerprint_hex = Printf.sprintf "%016Lx"
 
 (* --- heuristic order extraction ---------------------------------------- *)
 
-(* The star visit order the engines' fold over an (unhinted) edge plan
-   produces: the first edge contributes both endpoints, every later
-   edge its not-yet-seen endpoint. *)
-let visit_order_of_plan (plan : Star.edge list) =
-  match plan with
-  | [] -> []
-  | first :: rest ->
-    let order = ref [ first.Star.right.Star.star; first.Star.left.Star.star ] in
-    List.iter
-      (fun (e : Star.edge) ->
-        let l = e.Star.left.Star.star and r = e.Star.right.Star.star in
-        if not (List.mem l !order) then order := l :: !order;
-        if not (List.mem r !order) then order := r :: !order)
-      rest;
-    List.rev !order
-
+(* The star visit order the engines' walk over an (unhinted) edge plan
+   produces: the stars joined once its last step is done. *)
 let heuristic_order ~star_ids ~edges =
   match Composite.order_edges ~star_order:None ~star_ids ~edges with
   | Error _ -> []
-  | Ok plan -> visit_order_of_plan plan
+  | Ok plan -> (
+    match List.rev (Composite.walk plan) with
+    | [] -> []
+    | last :: _ -> last.Composite.prefix)
 
 (* --- composite stars as synthetic star patterns ------------------------ *)
 
@@ -169,7 +158,7 @@ let plan ?(policy = Cost_model.Worst_case) ?(cluster = Cluster.default) catalog
   }
 
 let apply d options =
-  Plan_util.make ~base:options ~optimize:true ~join_orders:d.d_join_orders ()
+  Plan_util.make ~base:options ~join_orders:d.d_join_orders ()
 
 (* --- cached planning --------------------------------------------------- *)
 

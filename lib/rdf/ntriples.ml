@@ -218,13 +218,6 @@ let parse_string_mode mode s =
   in
   go 1 [] [] 0 lines
 
-(* Shim: the historical whole-document API reported
-   ["line %d: col %d: %s"] as one string. *)
-let parse_string s =
-  match parse_string_mode Strict s with
-  | Ok { triples; _ } -> Ok triples
-  | Error e -> Error (string_of_error e)
-
 let write_file path triples =
   let oc = open_out path in
   Fun.protect

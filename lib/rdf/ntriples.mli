@@ -19,8 +19,7 @@ val triple_to_line : Triple.t -> string
     errors. *)
 type located_error = { l_line : int; l_col : int; l_reason : string }
 
-(** ["line %d: col %d: %s"] — the exact format the string-returning
-    shims ({!parse_string}, {!read_file}) have always reported. *)
+(** ["line %d: col %d: %s"] — the format {!read_file} reports. *)
 val string_of_error : located_error -> string
 
 val pp_error : located_error Fmt.t
@@ -64,12 +63,10 @@ type load = {
     budget ([Strict] fails on the first, [Skip n] on the [n+1]-th). *)
 val parse_string_mode : mode -> string -> (load, located_error) result
 
-(** [parse_string s] parses an entire N-Triples document, stopping at
-    the first malformed line (shim: [Strict] with string errors). *)
-val parse_string : string -> (Triple.t list, string) result
-
 val write_file : string -> Triple.t list -> unit
 
 val read_file_mode : mode -> string -> (load, located_error) result
 
+(** [read_file path] loads an N-Triples file in [Strict] mode, with the
+    first malformed line's error rendered by {!string_of_error}. *)
 val read_file : string -> (Triple.t list, string) result

@@ -109,7 +109,55 @@ let prediction_matches_execution entry () =
           (Stats.cycles stats))
     Engine.all_kinds
 
+(* Basic graph patterns whose star-join graph has a cycle. Every edge
+   past a spanning tree joins two stars that are already joined; the
+   engines must skip it rather than join one of those stars again. *)
+let cyclic_queries =
+  [
+    ( "triangle",
+      "SELECT ?c ?n { { SELECT ?c (COUNT(?o1) AS ?n) { ?o1 product ?p . \
+       ?o1 vendor ?v . ?o2 product ?p . ?o2 vendor ?v . ?v country ?c . } \
+       GROUP BY ?c } }" );
+    ( "4-cycle",
+      "SELECT ?c ?n { { SELECT ?c (COUNT(?o1) AS ?n) { ?o1 product ?p . \
+       ?o1 vendor ?v . ?o2 product ?p . ?o2 vendor ?v2 . ?v country ?c . \
+       ?v2 country ?c . } GROUP BY ?c } }" );
+  ]
+
+let cyclic_graph =
+  lazy (Rapida_datagen.Bsbm.(generate (config ~seed:42 ~products:60 ())))
+
+let cyclic_pattern_agrees src () =
+  let graph = Lazy.force cyclic_graph in
+  let q =
+    match Rapida_sparql.Analytical.parse src with
+    | Ok q -> q
+    | Error msg -> Alcotest.failf "parse: %s" msg
+  in
+  let expected = Rapida_ref.Ref_engine.run graph q in
+  Alcotest.(check bool) "reference returns rows" true
+    (Table.cardinality expected > 0);
+  let input = Engine.input_of_graph graph in
+  List.iter
+    (fun kind ->
+      match run kind (Plan_util.context Plan_util.default_options) input q with
+      | Error msg ->
+        Alcotest.failf "%s: engine error: %s" (Engine.kind_name kind) msg
+      | Ok { table; _ } ->
+        if not (Relops.same_results expected table) then
+          Alcotest.failf "%s: results differ.@.--- expected:@.%s@.--- got:@.%s"
+            (Engine.kind_name kind) (show_table expected) (show_table table))
+    Engine.all_kinds
+
 let suite =
+  let cyclic =
+    List.map
+      (fun (name, src) ->
+        Alcotest.test_case
+          (Printf.sprintf "cyclic %s pattern agrees across engines" name)
+          `Quick (cyclic_pattern_agrees src))
+      cyclic_queries
+  in
   let agreement =
     List.map
       (fun entry ->
@@ -152,4 +200,4 @@ let suite =
           (prediction_matches_execution entry))
       Catalog.all
   in
-  agreement @ coverage @ contracts @ predictions
+  agreement @ coverage @ contracts @ predictions @ cyclic
