@@ -155,12 +155,6 @@ let parse_line_located ~line:l_line line =
             | Some _ -> located (error c "trailing content after '.'"))
           | _ -> located (error c "expected terminating '.'"))))
 
-(* Shim: the historical one-line API reported ["col %d: %s"]. *)
-let parse_line line =
-  match parse_line_located ~line:1 line with
-  | Ok t -> Ok t
-  | Error e -> Error (Printf.sprintf "col %d: %s" e.l_col e.l_reason)
-
 type mode = Strict | Skip of int | Quarantine
 
 let pp_mode ppf = function

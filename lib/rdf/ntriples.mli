@@ -15,8 +15,7 @@
 val triple_to_line : Triple.t -> string
 
 (** A parse error located at a 1-based line and column. Columns are
-    relative to the trimmed line, matching the historical string
-    errors. *)
+    relative to the trimmed line. *)
 type located_error = { l_line : int; l_col : int; l_reason : string }
 
 (** ["line %d: col %d: %s"] — the format {!read_file} reports. *)
@@ -28,11 +27,6 @@ val pp_error : located_error Fmt.t
     error with [line]. Blank lines and [#] comments yield [Ok None]. *)
 val parse_line_located :
   line:int -> string -> (Triple.t option, located_error) result
-
-(** [parse_line s] parses one N-Triples line. Blank lines and [#] comments
-    yield [Ok None]. Errors are rendered ["col %d: %s"] (shim over
-    {!parse_line_located}). *)
-val parse_line : string -> (Triple.t option, string) result
 
 (** How to treat malformed lines in a whole-document load. *)
 type mode =

@@ -38,30 +38,25 @@ let repartition_join wf ?(kind = `Inner) ~name a b =
             | (L | R), (`Inner | `Left_outer) -> []));
       combine = None;
       reduce =
-        (fun key tagged ->
-          match key with
-          | None ->
-            List.map
-              (fun (_, row) -> Relops.null_extend a b ~left_row:row)
-              tagged
-          | Some _ ->
-            let lefts =
-              List.filter_map (function L, r -> Some r | R, _ -> None) tagged
-            in
-            let rights =
-              List.filter_map (function R, r -> Some r | L, _ -> None) tagged
-            in
-            List.concat_map
-              (fun left_row ->
-                match rights, kind with
-                | [], `Left_outer -> [ Relops.null_extend a b ~left_row ]
-                | [], `Inner -> []
-                | rights, (`Inner | `Left_outer) ->
-                  List.map
-                    (fun right_row ->
-                      Relops.merge_rows a b ~left_row ~right_row)
-                    rights)
-              lefts);
+        (fun _key tagged ->
+          (* The private NULL key holds left rows only: all come out
+             NULL-padded. *)
+          let lefts =
+            List.filter_map (function L, r -> Some r | R, _ -> None) tagged
+          in
+          let rights =
+            List.filter_map (function R, r -> Some r | L, _ -> None) tagged
+          in
+          List.concat_map
+            (fun left_row ->
+              match rights, kind with
+              | [], `Left_outer -> [ Relops.null_extend a b ~left_row ]
+              | [], `Inner -> []
+              | rights, (`Inner | `Left_outer) ->
+                List.map
+                  (fun right_row -> Relops.merge_rows a b ~left_row ~right_row)
+                  rights)
+            lefts);
       input_size = (fun (_, _, row) -> Table.row_size_bytes row);
       key_size =
         (fun key -> match key with Some k -> key_size k | None -> 4);
@@ -72,14 +67,11 @@ let repartition_join wf ?(kind = `Inner) ~name a b =
   let rows = Workflow.run_job wf spec input in
   Table.make ~name ~schema rows
 
-let map_join wf ?(kind = `Inner) ~name ~big ~small () =
+let map_join wf ?kind ~name ~big ~small () =
   let spec : (Table.row, Table.row) Job.map_only_spec =
     {
       mo_name = name;
-      mo_map =
-        (fun row ->
-          let single = { big with Table.rows = [ row ] } in
-          (Relops.hash_join ~kind ~name single small).Table.rows);
+      mo_map = Relops.hash_prober ?kind big small;
       mo_input_size = Table.row_size_bytes;
       mo_output_size = Table.row_size_bytes;
     }

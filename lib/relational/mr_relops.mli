@@ -14,7 +14,9 @@ val repartition_join :
   name:string -> Table.t -> Table.t -> Table.t
 
 (** [map_join wf ~name ~big ~small] broadcasts [small] to all mappers.
-    [small] must be the right side of the natural join. *)
+    [small] must be the right side of the natural join. Like Hive's local
+    hashtable task, it hashes [small] once per job; each streamed row of
+    [big] only probes ({!Relops.hash_prober}). *)
 val map_join :
   Rapida_mapred.Workflow.t ->
   ?kind:[ `Inner | `Left_outer ] ->

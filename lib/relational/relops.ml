@@ -46,44 +46,53 @@ let null_extend a b ~left_row =
   let extra = right_only_cols a b in
   Array.append left_row (Array.make (List.length extra) None)
 
-let key_of_row t cols row =
+(* The values at [idx]; [None] when any is NULL. *)
+let key_at idx (row : Table.row) =
   let rec go acc = function
     | [] -> Some (List.rev acc)
-    | c :: rest -> (
-      match row.(Table.col_index t c) with
-      | Some v -> go (v :: acc) rest
-      | None -> None)
+    | i :: rest -> (
+      match row.(i) with Some v -> go (v :: acc) rest | None -> None)
   in
-  go [] cols
+  go [] idx
 
-let hash_join ?(kind = `Inner) ~name a b =
+let key_of_row t cols row = key_at (List.map (Table.col_index t) cols) row
+
+let hash_prober ?(kind = `Inner) a b =
   let shared = shared_cols a b in
+  let a_key = List.map (Table.col_index a) shared in
+  let b_key = List.map (Table.col_index b) shared in
+  let extra =
+    Array.of_list (List.map (Table.col_index b) (right_only_cols a b))
+  in
   let index = Hashtbl.create (max 16 (Table.cardinality b)) in
+  (* Added last row first, so each bucket lists its rows in [b]'s order. *)
   List.iter
     (fun row ->
-      match key_of_row b shared row with
+      match key_at b_key row with
       | Some key ->
         let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
         Hashtbl.replace index key (row :: existing)
       | None -> ())
-    b.Table.rows;
-  let rows =
-    List.concat_map
-      (fun left_row ->
-        let matches =
-          match key_of_row a shared left_row with
-          | Some key ->
-            Option.value ~default:[] (Hashtbl.find_opt index key) |> List.rev
-          | None -> []
-        in
-        match matches, kind with
-        | [], `Inner -> []
-        | [], `Left_outer -> [ null_extend a b ~left_row ]
-        | rows, (`Inner | `Left_outer) ->
-          List.map (fun right_row -> merge_rows a b ~left_row ~right_row) rows)
-      a.Table.rows
-  in
-  Table.make ~name ~schema:(join_schema a b) rows
+    (List.rev b.Table.rows);
+  let nulls = Array.make (Array.length extra) None in
+  fun left_row ->
+    let matches =
+      match key_at a_key left_row with
+      | Some key -> Option.value ~default:[] (Hashtbl.find_opt index key)
+      | None -> []
+    in
+    match matches, kind with
+    | [], `Inner -> []
+    | [], `Left_outer -> [ Array.append left_row nulls ]
+    | rows, (`Inner | `Left_outer) ->
+      List.map
+        (fun right_row ->
+          Array.append left_row (Array.map (fun i -> right_row.(i)) extra))
+        rows
+
+let hash_join ?kind ~name a b =
+  Table.make ~name ~schema:(join_schema a b)
+    (List.concat_map (hash_prober ?kind a b) a.Table.rows)
 
 (* Group keys are option lists so NULLs group together (SQL semantics). *)
 let group_by ~name ~keys ~aggs t =

@@ -46,8 +46,17 @@ val null_extend : Table.t -> Table.t -> left_row:Table.row -> Table.row
     NULL (NULL never equi-joins). *)
 val key_of_row : Table.t -> string list -> Table.row -> Term.t list option
 
-(** [hash_join ?kind ~name a b] is the natural join. NULL keys do not
-    match; with [`Left_outer], unmatched left rows survive NULL-padded. *)
+(** [hash_prober ?kind a b] is the hash-join kernel: applying it to [a]
+    and [b] indexes [b] by the shared columns, once; the result probes
+    one row of [a]'s schema, giving {!hash_join}'s output rows for it,
+    matches in [b]'s row order. *)
+val hash_prober :
+  ?kind:[ `Inner | `Left_outer ] -> Table.t -> Table.t -> Table.row ->
+  Table.row list
+
+(** [hash_join ?kind ~name a b] is the natural join, {!hash_prober}
+    applied to each row of [a]. NULL keys do not match; with
+    [`Left_outer], unmatched left rows survive NULL-padded. *)
 val hash_join :
   ?kind:[ `Inner | `Left_outer ] -> name:string -> Table.t -> Table.t ->
   Table.t

@@ -27,4 +27,5 @@ let () =
       ("server", Test_server.suite);
       ("planner", Test_planner.suite);
       ("fuzz", Test_fuzz.suite);
+      ("complexity", Test_complexity.suite);
     ]

@@ -111,19 +111,22 @@ let test_dictionary_growth () =
 
 let test_ntriples_examples () =
   let line = {|<http://x/s> <http://x/p> "hi \"there\""^^<http://www.w3.org/2001/XMLSchema#integer> .|} in
-  (match Ntriples.parse_line line with
+  (match Ntriples.parse_line_located ~line:1 line with
   | Ok (Some t) ->
     Alcotest.check term "subject" (Term.iri "http://x/s") t.Triple.s
   | Ok None -> Alcotest.fail "expected a triple"
-  | Error e -> Alcotest.fail e);
-  (match Ntriples.parse_line "# comment" with
+  | Error e -> Alcotest.fail (Ntriples.string_of_error e));
+  (match Ntriples.parse_line_located ~line:1 "# comment" with
   | Ok None -> ()
   | _ -> Alcotest.fail "comment should be skipped");
-  (match Ntriples.parse_line "   " with
+  (match Ntriples.parse_line_located ~line:1 "   " with
   | Ok None -> ()
   | _ -> Alcotest.fail "blank should be skipped");
-  (match Ntriples.parse_line "<a> <b> ." with
-  | Error _ -> ()
+  (match Ntriples.parse_line_located ~line:1 "<a> <b> ." with
+  | Error e ->
+    check_int "col" 9 e.Ntriples.l_col;
+    Alcotest.(check string)
+      "reason" "unexpected character '.'" e.Ntriples.l_reason
   | Ok _ -> Alcotest.fail "truncated triple should fail")
 
 let test_ntriples_file () =
@@ -174,10 +177,11 @@ let test_ntriples_located_errors () =
     check_int "line" 2 e.Ntriples.l_line;
     check_int "col past the opening quote" 10 e.Ntriples.l_col
   | Ok _ -> Alcotest.fail "expected an error");
-  (* The string shims render the located error exactly as before. *)
-  match Ntriples.parse_line "xyz" with
-  | Error msg ->
-    Alcotest.(check string) "shim format" "col 1: unexpected character 'x'" msg
+  match Ntriples.parse_line_located ~line:1 "xyz" with
+  | Error e ->
+    check_int "col" 1 e.Ntriples.l_col;
+    Alcotest.(check string)
+      "reason" "unexpected character 'x'" e.Ntriples.l_reason
   | Ok _ -> Alcotest.fail "expected an error"
 
 let test_ntriples_modes () =
@@ -223,7 +227,7 @@ let test_ntriples_parse_mode () =
 let prop_ntriples_roundtrip =
   QCheck2.Test.make ~count:500 ~name:"ntriples line round-trips"
     gen_triple (fun t ->
-      match Ntriples.parse_line (Ntriples.triple_to_line t) with
+      match Ntriples.parse_line_located ~line:1 (Ntriples.triple_to_line t) with
       | Ok (Some t') -> Triple.equal t t'
       | Ok None | Error _ -> false)
 

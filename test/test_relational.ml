@@ -215,6 +215,103 @@ let prop_map_join_matches =
       let got = Mr_relops.map_join (wf ()) ~name:"g" ~big:a ~small:b () in
       Relops.same_results expected got)
 
+(* Independent reference for all three join operators: a nested-loop
+   natural join written from the definition, sharing no code with
+   [Relops]. Per left row it emits the matches in right-row order. *)
+let nested_loop_join kind (a : Table.t) (b : Table.t) =
+  let cell (t : Table.t) row c = row.(Table.col_index t c) in
+  let shared = List.filter (fun c -> List.mem c b.schema) a.schema in
+  let extra = List.filter (fun c -> not (List.mem c a.schema)) b.schema in
+  let joins l r =
+    List.for_all
+      (fun c ->
+        match cell a l c, cell b r c with
+        | Some x, Some y -> Term.equal x y
+        | _ -> false)
+      shared
+  in
+  let merge l r = Array.append l (Array.of_list (List.map (cell b r) extra)) in
+  let rows =
+    List.concat_map
+      (fun l ->
+        match List.filter (joins l) b.rows, kind with
+        | [], `Left_outer ->
+          [ Array.append l (Array.make (List.length extra) None) ]
+        | rs, _ -> List.map (merge l) rs)
+      a.rows
+  in
+  Table.make ~name:"nl" ~schema:(a.schema @ extra) rows
+
+(* Same schema and the same rows in the same order. *)
+let same_rows (a : Table.t) (b : Table.t) =
+  a.schema = b.schema
+  && List.equal (fun x y -> Relops.row_compare x y = 0) a.rows b.rows
+
+let gen_join_input =
+  QCheck2.Gen.(pair (gen_table ~schema:["k";"x"]) (gen_table ~schema:["k";"y"]))
+
+let matches_nested_loop ~name ~same join =
+  QCheck2.Test.make ~count:200 ~name gen_join_input (fun (a, b) ->
+      List.for_all
+        (fun kind -> same (nested_loop_join kind a b) (join kind a b))
+        [ `Inner; `Left_outer ])
+
+let prop_hash_join_reference =
+  matches_nested_loop ~name:"hash join = nested-loop reference, in order"
+    ~same:same_rows (fun kind a b -> Relops.hash_join ~kind ~name:"h" a b)
+
+let prop_map_join_reference =
+  matches_nested_loop ~name:"map join = nested-loop reference, in order"
+    ~same:same_rows (fun kind a b ->
+      Mr_relops.map_join (wf ()) ~kind ~name:"m" ~big:a ~small:b ())
+
+(* The shuffle regroups rows by key, so only the row multiset is fixed. *)
+let prop_repartition_join_reference =
+  matches_nested_loop ~name:"repartition join = nested-loop reference"
+    ~same:Relops.same_results (fun kind a b ->
+      Mr_relops.repartition_join (wf ()) ~kind ~name:"r" a b)
+
+(* Result order is observable: the cram suites print rows as they come
+   and [order_limit] breaks ties by position. A map-join must emit rows
+   in the in-memory join's order: left rows in order, each left row's
+   matches in right-row order. *)
+let test_map_join_row_order () =
+  let row k v = [| Option.map Term.int k; Some (Term.str v) |] in
+  let a =
+    Table.make ~name:"a" ~schema:[ "k"; "x" ]
+      [ row (Some 1) "a1"; row (Some 2) "a2"; row (Some 1) "a3";
+        row None "an"; row (Some 3) "a4" ]
+  in
+  let b =
+    Table.make ~name:"b" ~schema:[ "k"; "y" ]
+      [ row (Some 1) "b1"; row (Some 2) "b2"; row (Some 1) "b3";
+        row (Some 1) "b4"; row None "bn" ]
+  in
+  let lexical t =
+    List.map
+      (fun r -> Array.to_list (Array.map (Option.map Term.lexical) r))
+      t.Table.rows
+  in
+  let cells k x y = [ Option.map string_of_int k; Some x; y ] in
+  let inner =
+    [ cells (Some 1) "a1" (Some "b1"); cells (Some 1) "a1" (Some "b3");
+      cells (Some 1) "a1" (Some "b4"); cells (Some 2) "a2" (Some "b2");
+      cells (Some 1) "a3" (Some "b1"); cells (Some 1) "a3" (Some "b3");
+      cells (Some 1) "a3" (Some "b4") ]
+  in
+  let left_outer =
+    inner @ [ cells None "an" None; cells (Some 3) "a4" None ]
+  in
+  List.iter
+    (fun (kind, label, expected) ->
+      let h = Relops.hash_join ~kind ~name:"h" a b in
+      let m = Mr_relops.map_join (wf ()) ~kind ~name:"m" ~big:a ~small:b () in
+      Alcotest.check row_list (label ^ ": hash join order") expected
+        (lexical h);
+      Alcotest.check row_list (label ^ ": map join order") (lexical h)
+        (lexical m))
+    [ (`Inner, "inner", inner); (`Left_outer, "left outer", left_outer) ]
+
 let prop_group_aggregate_matches =
   QCheck2.Test.make ~count:200 ~name:"MR group-by = in-memory group-by"
     (gen_table ~schema:["k";"v"])
@@ -252,6 +349,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_repartition_join_matches;
     QCheck_alcotest.to_alcotest prop_left_outer_matches;
     QCheck_alcotest.to_alcotest prop_map_join_matches;
+    QCheck_alcotest.to_alcotest prop_hash_join_reference;
+    QCheck_alcotest.to_alcotest prop_map_join_reference;
+    QCheck_alcotest.to_alcotest prop_repartition_join_reference;
+    Alcotest.test_case "map join row order" `Quick test_map_join_row_order;
     QCheck_alcotest.to_alcotest prop_group_aggregate_matches;
     QCheck_alcotest.to_alcotest prop_distinct_project_matches;
   ]
