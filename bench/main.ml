@@ -46,7 +46,12 @@
 
      dune exec bench/main.exe [--scale N] [--trace DIR] [--faults SPEC]
                               [--mem SPEC] [--checkpoint SPEC]
-                              [section ...]  (default: all)
+                              [--bench-json FILE] [section ...]
+                              (default: all)
+
+   An unknown section, or a missing, malformed or non-positive --scale,
+   is a usage error (exit 2). --bench-json FILE needs exactly one of the
+   artifact sections analyze, optimize, fuzz.
 
    With --trace DIR, each engine run writes its Chrome trace-event file
    to DIR/<section>-<query>-<engine>.json. With --faults SPEC (same
@@ -65,6 +70,9 @@ module Report = Rapida_harness.Report
 module Fault_injector = Rapida_mapred.Fault_injector
 module Memory = Rapida_mapred.Memory
 module Checkpoint = Rapida_mapred.Checkpoint
+module Json = Rapida_mapred.Json
+module Metrics = Rapida_mapred.Metrics
+module Stats = Rapida_mapred.Stats
 
 let scale = ref 1
 let sections = ref []
@@ -74,47 +82,70 @@ let fault_cfg = ref Fault_injector.default
 let mem_cfg = ref Memory.default
 let checkpoint_cfg = ref Checkpoint.default
 
+let section_names =
+  [ "all"; "fig7"; "table3"; "fig8a"; "fig8b"; "fig8c"; "table4"; "ablation";
+    "faults"; "memory"; "recovery"; "server"; "overload"; "analyze";
+    "optimize"; "fuzz"; "wall" ]
+
+(* The sections that write a --bench-json artifact. *)
+let artifact_sections = [ "analyze"; "optimize"; "fuzz" ]
+
+let die_usage msg =
+  prerr_endline ("error: " ^ msg);
+  exit 2
+
 let () =
+  let set cfg parse_spec spec =
+    Result.map (fun c -> cfg := c) (parse_spec spec)
+  in
+  let value_flags =
+    [
+      ( "--scale",
+        fun n ->
+          match int_of_string_opt n with
+          | Some k when k > 0 -> Ok (scale := k)
+          | _ ->
+            Error
+              (Printf.sprintf "--scale expects a positive integer, got %S" n)
+      );
+      ("--trace", fun dir -> Ok (trace_dir := Some dir));
+      ("--bench-json", fun path -> Ok (bench_json := Some path));
+      ("--faults", set fault_cfg Fault_injector.parse_spec);
+      ("--mem", set mem_cfg Memory.parse_spec);
+      ("--checkpoint", set checkpoint_cfg Checkpoint.parse_spec);
+    ]
+  in
   let rec parse = function
     | [] -> ()
-    | "--scale" :: n :: rest ->
-      scale := int_of_string n;
-      parse rest
-    | "--trace" :: dir :: rest ->
-      trace_dir := Some dir;
-      parse rest
-    | "--bench-json" :: path :: rest ->
-      bench_json := Some path;
-      parse rest
-    | "--faults" :: spec :: rest ->
-      (match Fault_injector.parse_spec spec with
-      | Ok cfg -> fault_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
-    | "--mem" :: spec :: rest ->
-      (match Memory.parse_spec spec with
-      | Ok cfg -> mem_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
-    | "--checkpoint" :: spec :: rest ->
-      (match Checkpoint.parse_spec spec with
-      | Ok cfg -> checkpoint_cfg := cfg
-      | Error msg ->
-        prerr_endline ("error: " ^ msg);
-        exit 2);
-      parse rest
-    | s :: rest ->
+    | flag :: rest when List.mem_assoc flag value_flags -> (
+      match rest with
+      | [] -> die_usage (flag ^ " expects a value")
+      | value :: rest -> (
+        match List.assoc flag value_flags value with
+        | Ok () -> parse rest
+        | Error msg -> die_usage msg))
+    | s :: rest when List.mem s section_names ->
       sections := s :: !sections;
       parse rest
+    | s :: _ ->
+      die_usage
+        (Printf.sprintf "unknown section %S; valid sections: %s" s
+           (String.concat " " section_names))
   in
   parse (List.tl (Array.to_list Sys.argv))
 
 let want section =
   !sections = [] || List.mem "all" !sections || List.mem section !sections
+
+(* One artifact per file: two artifact sections would overwrite each
+   other's --bench-json document. *)
+let () =
+  if
+    !bench_json <> None
+    && List.length (List.filter want artifact_sections) <> 1
+  then
+    die_usage
+      "--bench-json needs exactly one of the sections analyze, optimize, fuzz"
 
 (* The simulated cluster: paper-default startup costs with bandwidths
    scaled down by the ratio between the paper's dataset sizes (tens of
@@ -268,7 +299,6 @@ let section_ablation () =
     | Error e -> failwith (Engine.error_message e)
   in
   let show label (on : Engine.output) (off : Engine.output) =
-    let module Stats = Rapida_mapred.Stats in
     Fmt.pr
       "%-42s on: %7.1fs %8.1fKB shuffled   off: %7.1fs %8.1fKB shuffled@."
       label
@@ -298,49 +328,172 @@ let section_ablation () =
        (Plan_util.make ~base:options ~hive_compression:1.0 ())
        Engine.Hive_naive bsbm_small "MG3")
 
+(* The knob sweeps below share one run loop and one table printer: each
+   section only builds its labelled row configs and renders a completed
+   run's cell. *)
+let knob_sweep ~title ~baseline rows ~row_header ~cell_width ~cell ~legend
+    cases =
+  List.iter
+    (fun (input, id) ->
+      Experiment.knob_sweep ~baseline rows (Lazy.force input)
+        (Catalog.find_exn id)
+      |> Fmt.pr "%a"
+           (Report.pp_knob_sweep ~title:(title id) ~row_header ~cell_width
+              ~cell ~legend))
+    cases
+
+let timed (r : Experiment.knob_run) =
+  Printf.sprintf "%.1fs (%.2fx)"
+    (Stats.est_time_s r.Experiment.k_stats)
+    r.Experiment.k_slowdown
+
+let diverged (r : Experiment.knob_run) =
+  if r.Experiment.k_matches then "" else "*"
+
 (* Fault-injection degradation: each engine's simulated time as the
    per-attempt crash/straggler rate rises, relative to its own
    fault-free run. RAPIDAnalytics' shorter workflows re-roll fewer
-   attempts, so it degrades the least in absolute seconds. *)
+   attempts, so it degrades the least in absolute seconds. Each rate
+   sets both probabilities, with two whole-job retries and seeded
+   injection. *)
 let section_faults () =
-  List.iter
-    (fun (input, id) ->
-      let deg =
-        Experiment.degradation options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_degradation ~engines:all_engines) deg)
+  let seed = 7 in
+  let rows =
+    List.map
+      (fun rate ->
+        ( Printf.sprintf "%g" rate,
+          Plan_util.make ~base:options
+            ~faults:
+              {
+                Fault_injector.default with
+                Fault_injector.seed;
+                task_fail_p = rate;
+                straggler_p = rate;
+                job_retries = 2;
+              }
+            () ))
+      [ 0.0; 0.02; 0.05; 0.1; 0.2 ]
+  in
+  knob_sweep
+    ~title:(fun id -> Printf.sprintf "fault degradation: %s (seed %d)" id seed)
+    ~baseline:(Plan_util.make ~base:options ~faults:Fault_injector.default ())
+    rows ~row_header:("fault", 6) ~cell_width:18
+    ~cell:(fun r -> timed r ^ diverged r)
+    ~legend:"simulated seconds and slowdown vs fault-free; * = result diverged"
     [ (bsbm_small, "MG1"); (chem, "MG6") ]
 
 (* Memory-budget degradation: each engine's simulated time as the
-   per-task heap (and with it the sort buffer) shrinks, relative to its
-   own unbounded run. Results stay byte-identical at every budget; the
+   per-task heap shrinks from 1 GiB to 1 KiB, relative to its own
+   unbounded run. Results stay byte-identical at every budget; the
    sweep shows where each engine starts spilling, OOM-retrying, and
-   falling back from broadcast map-joins to repartition joins. *)
+   falling back from broadcast map-joins to repartition joins.
+   Shrinking the heap also shrinks the sort buffer (a container's sort
+   buffer is a fraction of its heap, as in Hadoop), so one knob drives
+   both spill pricing and the OOM/fallback ladder. *)
 let section_memory () =
-  List.iter
-    (fun (input, id) ->
-      let sweep =
-        Experiment.memory_sweep options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_memory ~engines:all_engines) sweep)
+  let with_heap heap_bytes =
+    let mem =
+      {
+        Memory.default with
+        Memory.task_heap_bytes = heap_bytes;
+        sort_buffer_bytes =
+          max 1 (min Memory.default.Memory.sort_buffer_bytes (heap_bytes / 4));
+      }
+    in
+    Plan_util.make ~base:options
+      ~cluster:(Rapida_mapred.Cluster.with_memory options.cluster mem)
+      ()
+  in
+  let pp_heap b =
+    if b >= 1024 * 1024 * 1024 then
+      Printf.sprintf "%dG" (b / (1024 * 1024 * 1024))
+    else if b >= 1024 * 1024 then Printf.sprintf "%dM" (b / (1024 * 1024))
+    else if b >= 1024 then Printf.sprintf "%dK" (b / 1024)
+    else Printf.sprintf "%dB" b
+  in
+  let unbounded = Memory.default.Memory.task_heap_bytes in
+  let rows =
+    List.map
+      (fun heap -> (pp_heap heap, with_heap heap))
+      [ unbounded; 256 * 1024; 64 * 1024; 16 * 1024; 4 * 1024; 1024 ]
+  in
+  let cell (r : Experiment.knob_run) =
+    String.concat ""
+      [
+        timed r;
+        (if Stats.total_spill_passes r.Experiment.k_stats > 0 then " s"
+         else "");
+        (if Stats.total_oom_kills r.Experiment.k_stats > 0 then "!o" else "");
+        (if Metrics.get r.Experiment.k_counters "mem.mapjoin_fallbacks" > 0
+         then "+r"
+         else "");
+        diverged r;
+      ]
+  in
+  knob_sweep
+    ~title:(Printf.sprintf "memory degradation: %s")
+    ~baseline:(with_heap unbounded) rows ~row_header:("heap", 8)
+    ~cell_width:24 ~cell
+    ~legend:
+      "simulated seconds and slowdown vs the unbounded run; s = spilled, !o \
+       = OOM retries, +r = map-join fell back to repartition, * = result \
+       diverged"
     [ (bsbm_small, "MG1"); (chem, "G5") ]
 
 (* Checkpoint-recovery sweep: fault rate crossed with checkpoint policy
    under deliberately harsh retry settings (two task attempts, no
-   whole-job resubmissions), so the Never policy can abort while any
-   active policy recovers by replaying only the jobs since the last
-   checkpoint. Shows the checkpoint-write overhead at rate 0 and the
-   replay savings versus whole-plan resubmission as the rate rises. *)
+   whole-job resubmissions), so the Never policy can actually abort
+   while any active policy has recoveries to price, replaying only the
+   jobs since the last checkpoint. Shows the checkpoint-write overhead
+   at rate 0 and the replay cost as the rate rises. *)
 let section_recovery () =
-  List.iter
-    (fun (input, id) ->
-      let sweep =
-        Experiment.recovery_sweep options (Lazy.force input)
-          (Catalog.find_exn id)
-      in
-      Fmt.pr "%a" (Report.pp_recovery ~engines:all_engines) sweep)
+  let seed = 7 in
+  let config rate policy =
+    Plan_util.make ~base:options
+      ~faults:
+        {
+          Fault_injector.default with
+          Fault_injector.seed;
+          task_fail_p = rate;
+          max_attempts = 2;
+          job_retries = 0;
+        }
+      ~checkpoint:{ Checkpoint.default with Checkpoint.policy }
+      ()
+  in
+  let rows =
+    List.concat_map
+      (fun rate ->
+        List.map
+          (fun policy ->
+            ( Fmt.str "%g %a" rate Checkpoint.pp_policy policy,
+              config rate policy ))
+          Checkpoint.[ Never; Every_k 1; Every_k 2; Adaptive (16 * 1024) ])
+      [ 0.0; 0.1; 0.3 ]
+  in
+  let cell (r : Experiment.knob_run) =
+    let recoveries = Metrics.get r.Experiment.k_counters "mr.recoveries" in
+    let checkpoints = Stats.checkpoints_written r.Experiment.k_stats in
+    String.concat ""
+      [
+        Printf.sprintf "%.1fs" (Stats.est_time_s r.Experiment.k_stats);
+        (if recoveries > 0 then
+           Printf.sprintf " r%d/%.0fs" recoveries
+             (Stats.replayed_s r.Experiment.k_stats)
+         else "");
+        (if checkpoints > 0 then Printf.sprintf " c%d" checkpoints else "");
+        diverged r;
+      ]
+  in
+  knob_sweep
+    ~title:(fun id ->
+      Printf.sprintf "checkpoint recovery: %s (seed %d)" id seed)
+    ~baseline:(config 0.0 Checkpoint.Never)
+    rows ~row_header:("fault/policy", 20) ~cell_width:22 ~cell
+    ~legend:
+      "simulated seconds; rN/Ms = N recoveries replaying M s since the last \
+       checkpoint, cK = K checkpoints written, aborted = ran out of retries, \
+       * = result diverged"
     [ (bsbm_small, "MG1") ]
 
 (* Query-server throughput: a generated BSBM arrival stream through the
@@ -375,6 +528,25 @@ let section_overload () =
   in
   Fmt.pr "%a" Report.pp_overload sweep
 
+(* With --bench-json FILE, the one artifact section that runs writes its
+   committed BENCH document there: the bench name and scale, then the
+   section's own fields. *)
+let write_artifact bench fields =
+  match !bench_json with
+  | None -> ()
+  | Some path ->
+    let doc =
+      Json.Obj
+        (("bench", Json.String bench) :: ("scale", Json.Int !scale) :: fields)
+    in
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc (Json.to_string doc);
+        output_char oc '\n');
+    Fmt.pr "wrote %s@." path
+
 (* Static cardinality estimation: for each dataset, a one-pass catalog
    build (timed), then every catalog query on that dataset analyzed
    (timed), its plan nodes checked for interval soundness against the
@@ -383,7 +555,6 @@ let section_overload () =
    catalog-build and per-query analysis timings are written as the
    committed BENCH artifact — the on-disk perf trajectory. *)
 let section_analyze () =
-  let module Json = Rapida_mapred.Json in
   let sweeps =
     List.map
       (fun (label, input, dataset) ->
@@ -399,53 +570,37 @@ let section_analyze () =
     (fun sweep ->
       Fmt.pr "%a" (Report.pp_estimation ~engines:all_engines) sweep)
     sweeps;
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let sweep_json (s : Experiment.estimation_sweep) =
-      Json.Obj
-        [
-          ("label", Json.String s.Experiment.e_label);
-          ("triples", Json.Int s.Experiment.e_triples);
-          ( "catalog_build_ms",
-            Json.Float (1000.0 *. s.Experiment.e_catalog_build_s) );
-          ( "median_q_error",
-            Json.Float (Experiment.median_q_error s.Experiment.e_estimations)
-          );
-          ( "queries",
-            Json.List
-              (List.map
-                 (fun (e : Experiment.estimation) ->
-                   Json.Obj
-                     [
-                       ("id", Json.String e.Experiment.e_query.Catalog.id);
-                       ( "analysis_ms",
-                         Json.Float (1000.0 *. e.Experiment.e_analysis_s) );
-                       ("nodes", Json.Int e.Experiment.e_nodes);
-                       ("actual", Json.Int e.Experiment.e_actual);
-                       ("q_error", Json.Float e.Experiment.e_q_error);
-                       ( "max_node_q_error",
-                         Json.Float e.Experiment.e_max_node_q_error );
-                       ("violations", Json.Int e.Experiment.e_violations);
-                     ])
-                 s.Experiment.e_estimations) );
-        ]
-    in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "analyze");
-          ("scale", Json.Int !scale);
-          ("datasets", Json.List (List.map sweep_json sweeps));
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  let sweep_json (s : Experiment.estimation_sweep) =
+    Json.Obj
+      [
+        ("label", Json.String s.Experiment.e_label);
+        ("triples", Json.Int s.Experiment.e_triples);
+        ( "catalog_build_ms",
+          Json.Float (1000.0 *. s.Experiment.e_catalog_build_s) );
+        ( "median_q_error",
+          Json.Float (Experiment.median_q_error s.Experiment.e_estimations)
+        );
+        ( "queries",
+          Json.List
+            (List.map
+               (fun (e : Experiment.estimation) ->
+                 Json.Obj
+                   [
+                     ("id", Json.String e.Experiment.e_query.Catalog.id);
+                     ( "analysis_ms",
+                       Json.Float (1000.0 *. e.Experiment.e_analysis_s) );
+                     ("nodes", Json.Int e.Experiment.e_nodes);
+                     ("actual", Json.Int e.Experiment.e_actual);
+                     ("q_error", Json.Float e.Experiment.e_q_error);
+                     ( "max_node_q_error",
+                       Json.Float e.Experiment.e_max_node_q_error );
+                     ("violations", Json.Int e.Experiment.e_violations);
+                   ])
+               s.Experiment.e_estimations) );
+      ]
+  in
+  write_artifact "analyze"
+    [ ("datasets", Json.List (List.map sweep_json sweeps)) ]
 
 (* Cost-based planner sweep: every multi-grouping BSBM query (plus a
    single-grouping control) planned cold and through the cache, the
@@ -456,7 +611,6 @@ let section_analyze () =
    planning/caching timings, cost deltas, and server cache counters are
    written as the committed BENCH artifact. *)
 let section_optimize () =
-  let module Json = Rapida_mapred.Json in
   let module Server = Rapida_server.Server in
   let module Plan_cache = Rapida_planner.Plan_cache in
   let module Cost_model = Rapida_planner.Cost_model in
@@ -466,76 +620,62 @@ let section_optimize () =
       (queries [ "MG1"; "MG2"; "MG3"; "MG4"; "G1" ])
   in
   Fmt.pr "%a" (Report.pp_optimize ~engines:all_engines) sweep;
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let entry_json (e : Experiment.optimize_entry) =
-      let delta_pct =
-        if e.Experiment.p_heuristic_hi > 0.0 then
-          100.0
-          *. (e.Experiment.p_heuristic_hi -. e.Experiment.p_chosen_hi)
-          /. e.Experiment.p_heuristic_hi
-        else 0.0
-      in
+  let entry_json (e : Experiment.optimize_entry) =
+    let delta_pct =
+      if e.Experiment.p_heuristic_hi > 0.0 then
+        100.0
+        *. (e.Experiment.p_heuristic_hi -. e.Experiment.p_chosen_hi)
+        /. e.Experiment.p_heuristic_hi
+      else 0.0
+    in
+    Json.Obj
+      [
+        ("id", Json.String e.Experiment.p_query.Catalog.id);
+        ("planning_ms", Json.Float e.Experiment.p_planning_ms);
+        ("cache_hit_ms", Json.Float e.Experiment.p_replan_ms);
+        ("units", Json.Int e.Experiment.p_units);
+        ("hints", Json.Int e.Experiment.p_hints);
+        ("heuristic_hi_cost_s", Json.Float e.Experiment.p_heuristic_hi);
+        ("chosen_hi_cost_s", Json.Float e.Experiment.p_chosen_hi);
+        ("cost_delta_pct", Json.Float delta_pct);
+        ("all_verified", Json.Bool e.Experiment.p_all_verified);
+        ("identical", Json.Bool e.Experiment.p_identical);
+      ]
+  in
+  let server_json =
+    match sweep.Experiment.p_server.Server.r_optimize with
+    | None -> Json.Null
+    | Some o ->
+      let hits = o.Server.p_cache.Plan_cache.hits in
+      let misses = o.Server.p_cache.Plan_cache.misses in
       Json.Obj
         [
-          ("id", Json.String e.Experiment.p_query.Catalog.id);
-          ("planning_ms", Json.Float e.Experiment.p_planning_ms);
-          ("cache_hit_ms", Json.Float e.Experiment.p_replan_ms);
-          ("units", Json.Int e.Experiment.p_units);
-          ("hints", Json.Int e.Experiment.p_hints);
-          ("heuristic_hi_cost_s", Json.Float e.Experiment.p_heuristic_hi);
-          ("chosen_hi_cost_s", Json.Float e.Experiment.p_chosen_hi);
-          ("cost_delta_pct", Json.Float delta_pct);
-          ("all_verified", Json.Bool e.Experiment.p_all_verified);
-          ("identical", Json.Bool e.Experiment.p_identical);
+          ("planned", Json.Int o.Server.p_planned);
+          ("cache_hits", Json.Int hits);
+          ("cache_misses", Json.Int misses);
+          ( "hit_rate",
+            Json.Float
+              (if hits + misses > 0 then
+                 float_of_int hits /. float_of_int (hits + misses)
+               else 0.0) );
+          ("invalidations", Json.Int o.Server.p_cache.Plan_cache.invalidations);
+          ("evictions", Json.Int o.Server.p_cache.Plan_cache.evictions);
+          ("misestimates", Json.Int o.Server.p_misestimates);
+          ("fallbacks", Json.Int o.Server.p_fallbacks);
+          ("breaker", Json.String o.Server.p_breaker);
         ]
-    in
-    let server_json =
-      match sweep.Experiment.p_server.Server.r_optimize with
-      | None -> Json.Null
-      | Some o ->
-        let hits = o.Server.p_cache.Plan_cache.hits in
-        let misses = o.Server.p_cache.Plan_cache.misses in
-        Json.Obj
-          [
-            ("planned", Json.Int o.Server.p_planned);
-            ("cache_hits", Json.Int hits);
-            ("cache_misses", Json.Int misses);
-            ( "hit_rate",
-              Json.Float
-                (if hits + misses > 0 then
-                   float_of_int hits /. float_of_int (hits + misses)
-                 else 0.0) );
-            ("invalidations", Json.Int o.Server.p_cache.Plan_cache.invalidations);
-            ("evictions", Json.Int o.Server.p_cache.Plan_cache.evictions);
-            ("misestimates", Json.Int o.Server.p_misestimates);
-            ("fallbacks", Json.Int o.Server.p_fallbacks);
-            ("breaker", Json.String o.Server.p_breaker);
-          ]
-    in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "optimize");
-          ("scale", Json.Int !scale);
-          ( "policy",
-            Json.String (Cost_model.policy_name sweep.Experiment.p_policy) );
-          ("label", Json.String sweep.Experiment.p_label);
-          ( "catalog_build_ms",
-            Json.Float (1000.0 *. sweep.Experiment.p_catalog_build_s) );
-          ( "queries",
-            Json.List (List.map entry_json sweep.Experiment.p_entries) );
-          ("server", server_json);
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  in
+  write_artifact "optimize"
+    [
+      ( "policy",
+        Json.String (Cost_model.policy_name sweep.Experiment.p_policy) );
+      ("label", Json.String sweep.Experiment.p_label);
+      ( "catalog_build_ms",
+        Json.Float (1000.0 *. sweep.Experiment.p_catalog_build_s) );
+      ( "queries",
+        Json.List (List.map entry_json sweep.Experiment.p_entries) );
+      ("server", server_json);
+    ]
 
 (* The fuzzing harness as a benchmark: a full-budget run of all four
    oracles over the built-in dataset (expected clean), plus a short run
@@ -545,7 +685,6 @@ let section_optimize () =
    per-oracle timings, and shrink-step counts are written as the
    committed BENCH artifact. *)
 let section_fuzz () =
-  let module Json = Rapida_mapred.Json in
   let module Fuzz = Rapida_fuzz.Fuzz in
   let sweep = Experiment.fuzz_sweep ~budget:(200 * !scale) () in
   Fmt.pr "@.== Fuzzing & differential oracles ==@.";
@@ -557,28 +696,13 @@ let section_fuzz () =
   | f :: _ ->
     Fmt.pr "first reproducer shrunk in %d step(s)@." f.Fuzz.f_shrink_steps
   | [] -> ());
-  match !bench_json with
-  | None -> ()
-  | Some path ->
-    let clean = sweep.Experiment.f_clean in
-    let doc =
-      Json.Obj
-        [
-          ("bench", Json.String "fuzz");
-          ("scale", Json.Int !scale);
-          ("clean", Fuzz.to_json clean);
-          ("broken", Fuzz.to_json broken);
-          ("caught", Json.Bool sweep.Experiment.f_caught);
-          ("elapsed_s", Json.Float sweep.Experiment.f_elapsed_s);
-        ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string doc);
-        output_char oc '\n');
-    Fmt.pr "wrote %s@." path
+  write_artifact "fuzz"
+    [
+      ("clean", Fuzz.to_json sweep.Experiment.f_clean);
+      ("broken", Fuzz.to_json broken);
+      ("caught", Json.Bool sweep.Experiment.f_caught);
+      ("elapsed_s", Json.Float sweep.Experiment.f_elapsed_s);
+    ]
 
 (* Wall-clock microbenchmarks of the real in-memory executions, per
    engine, on representative queries from each workload. *)

@@ -64,6 +64,20 @@ let verbose_arg =
   Arg.(value & flag
        & info [ "v"; "verbose" ] ~doc:"Log every simulated MapReduce job.")
 
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* -d/--data: each command makes it [Arg.required] or [Arg.value]. *)
+let data_arg ?docv doc =
+  Arg.(opt (some string) None & info [ "d"; "data" ] ?docv ~doc)
+
+(* A key=value spec flag (--faults, --mem, --checkpoint, --dirty-input),
+   parsed to its config, or [default] when absent. Parse errors stay
+   values so each command reports them in its own order. *)
+let spec_arg name ~docv ~doc parse default =
+  let spec = Arg.(value & opt (some string) None & info [ name ] ~docv ~doc) in
+  Term.(
+    const (function None -> Ok default | Some spec -> parse spec) $ spec)
+
 (* Quarantined lines go to stderr so piped results stay clean. *)
 let load_graph ?(mode = Ntriples.Strict) path =
   match Ntriples.read_file_mode mode path with
@@ -228,11 +242,7 @@ let engine_arg =
   in
   Arg.conv (parse, fun ppf k -> Fmt.string ppf (Engine.kind_name k))
 
-let query_source_args f =
-  let data =
-    Arg.(required & opt (some string) None
-         & info [ "d"; "data" ] ~doc:"Dataset file (N-Triples).")
-  in
+let query_source_args =
   let query_file =
     Arg.(value & opt (some string) None
          & info [ "q"; "query" ] ~doc:"SPARQL query file.")
@@ -241,7 +251,7 @@ let query_source_args f =
     Arg.(value & opt (some string) None
          & info [ "c"; "catalog" ] ~doc:"Catalog query id (e.g. MG1).")
   in
-  Term.(const f $ data $ query_file $ catalog_id)
+  Term.(const (fun q c -> (q, c)) $ query_file $ catalog_id)
 
 let query_text query_file catalog_id =
   match query_file, catalog_id with
@@ -281,49 +291,48 @@ let query_cmd =
                    job phase; open in chrome://tracing or Perfetto).")
   in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print the result table, statistics with per-phase time \
-                   breakdown, and counters as JSON.")
+    json_arg
+      "Print the result table, statistics with per-phase time breakdown, \
+       and counters as JSON."
   in
   let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Inject faults into the simulated cluster: comma-separated \
-                   key=value pairs over seed, task-fail, straggler, slowdown, \
-                   max-attempts, speculation (on|off), job-retries, backoff, \
-                   phase (map|reduce|all), poison (per-record bad-record \
-                   probability), and skip-max (bad records tolerated per job \
-                   by Hadoop-style skip mode), e.g. \
-                   seed=7,task-fail=0.05,straggler=0.1. Fault tolerance is \
-                   transparent: unless a task exhausts its attempts, results \
-                   are identical to a fault-free run and only the simulated \
-                   time and counters change.")
+    spec_arg "faults" ~docv:"SPEC"
+      ~doc:"Inject faults into the simulated cluster: comma-separated \
+            key=value pairs over seed, task-fail, straggler, slowdown, \
+            max-attempts, speculation (on|off), job-retries, backoff, \
+            phase (map|reduce|all), poison (per-record bad-record \
+            probability), and skip-max (bad records tolerated per job \
+            by Hadoop-style skip mode), e.g. \
+            seed=7,task-fail=0.05,straggler=0.1. Fault tolerance is \
+            transparent: unless a task exhausts its attempts, results \
+            are identical to a fault-free run and only the simulated \
+            time and counters change."
+      Fault_injector.parse_spec Fault_injector.default
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Bound the simulated cluster's per-task memory: \
-                   comma-separated key=value pairs over heap, sort-buffer \
-                   (sizes in bytes, or with a k/m/g suffix) and \
-                   spill-threshold (0-1], e.g. heap=64m,sort-buffer=1m. \
-                   Memory pressure prices spill passes, OOM retries, and \
-                   map-join fallbacks into the simulated time; results are \
-                   byte-identical at every budget.")
+    spec_arg "mem" ~docv:"SPEC"
+      ~doc:"Bound the simulated cluster's per-task memory: \
+            comma-separated key=value pairs over heap, sort-buffer \
+            (sizes in bytes, or with a k/m/g suffix) and \
+            spill-threshold (0-1], e.g. heap=64m,sort-buffer=1m. \
+            Memory pressure prices spill passes, OOM retries, and \
+            map-join fallbacks into the simulated time; results are \
+            byte-identical at every budget."
+      Memory.parse_spec Memory.default
   in
   let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"SPEC"
-             ~doc:"Checkpoint workflow outputs in the simulated cluster: \
-                   comma-separated key=value pairs over every=K (checkpoint \
-                   every K jobs), adaptive=BYTES (checkpoint once that many \
-                   output bytes accumulate; k/m/g suffixes), and \
-                   replication=N (HDFS copies per checkpoint, default 3), \
-                   e.g. every=1 or adaptive=64m,replication=2. With any \
-                   policy active a workflow that exhausts a job's retries \
-                   replays only the jobs since the last checkpoint instead \
-                   of aborting; checkpoint writes and replays are priced \
-                   into the simulated time and results stay byte-identical.")
+    spec_arg "checkpoint" ~docv:"SPEC"
+      ~doc:"Checkpoint workflow outputs in the simulated cluster: \
+            comma-separated key=value pairs over every=K (checkpoint \
+            every K jobs), adaptive=BYTES (checkpoint once that many \
+            output bytes accumulate; k/m/g suffixes), and \
+            replication=N (HDFS copies per checkpoint, default 3), \
+            e.g. every=1 or adaptive=64m,replication=2. With any \
+            policy active a workflow that exhausts a job's retries \
+            replays only the jobs since the last checkpoint instead \
+            of aborting; checkpoint writes and replays are priced \
+            into the simulated time and results stay byte-identical."
+      Checkpoint.parse_spec Checkpoint.default
   in
   let analyze =
     Arg.(value & flag
@@ -337,46 +346,26 @@ let query_cmd =
                    output is byte-identical.")
   in
   let dirty_input =
-    Arg.(value & opt (some string) None
-         & info [ "dirty-input" ] ~docv:"MODE"
-             ~doc:"How to treat malformed N-Triples lines in the dataset: \
-                   strict (default: fail the load), skip[=N] (quarantine up \
-                   to N malformed lines, default 100, then fail), or \
-                   quarantine (quarantine every malformed line). Quarantined \
-                   lines are reported on stderr with line and column.")
+    spec_arg "dirty-input" ~docv:"MODE"
+      ~doc:"How to treat malformed N-Triples lines in the dataset: \
+            strict (default: fail the load), skip[=N] (quarantine up \
+            to N malformed lines, default 100, then fail), or \
+            quarantine (quarantine every malformed line). Quarantined \
+            lines are reported on stderr with line and column."
+      Ntriples.parse_mode Ntriples.Strict
   in
-  let run (data, query_file, catalog_id) engine verify verify_plans show_stats
-      trace_file json faults_spec mem_spec checkpoint_spec analyze optimize
-      opt_policy dirty_spec verbose =
+  let run data (query_file, catalog_id) engine verify verify_plans show_stats
+      trace_file json faults mem checkpoint analyze optimize opt_policy
+      dirty_input verbose =
     setup_logs verbose;
     let ( let* ) = Result.bind in
     let usage r = Result.map_error (fun msg -> (2, msg)) r in
     let runtime r = Result.map_error (fun msg -> (1, msg)) r in
     match
-      let* fault_cfg =
-        usage
-          (match faults_spec with
-          | None -> Ok Fault_injector.default
-          | Some spec -> Fault_injector.parse_spec spec)
-      in
-      let* mem_cfg =
-        usage
-          (match mem_spec with
-          | None -> Ok Memory.default
-          | Some spec -> Memory.parse_spec spec)
-      in
-      let* checkpoint_cfg =
-        usage
-          (match checkpoint_spec with
-          | None -> Ok Checkpoint.default
-          | Some spec -> Checkpoint.parse_spec spec)
-      in
-      let* dirty_mode =
-        usage
-          (match dirty_spec with
-          | None -> Ok Ntriples.Strict
-          | Some spec -> Ntriples.parse_mode spec)
-      in
+      let* fault_cfg = usage faults in
+      let* mem_cfg = usage mem in
+      let* checkpoint_cfg = usage checkpoint in
+      let* dirty_mode = usage dirty_input in
       let cluster =
         Cluster.with_memory Plan_util.default_options.Plan_util.cluster mem_cfg
       in
@@ -540,10 +529,10 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Run a SPARQL analytical query on a dataset")
     Term.(const run
-          $ query_source_args (fun d q c -> (d, q, c))
-          $ engine $ verify $ verify_plans $ show_stats $ trace_file $ json
-          $ faults $ mem $ checkpoint $ analyze $ optimize_arg $ opt_policy_arg
-          $ dirty_input $ verbose_arg)
+          $ Arg.required (data_arg "Dataset file (N-Triples).")
+          $ query_source_args $ engine $ verify $ verify_plans $ show_stats
+          $ trace_file $ json $ faults $ mem $ checkpoint $ analyze
+          $ optimize_arg $ opt_policy_arg $ dirty_input $ verbose_arg)
 
 (* --- serve -------------------------------------------------------------- *)
 
@@ -556,10 +545,6 @@ let policy_arg =
   Arg.conv (parse, fun ppf p -> Fmt.string ppf (Scheduler.policy_name p))
 
 let serve_cmd =
-  let data =
-    Arg.(required & opt (some string) None
-         & info [ "d"; "data" ] ~doc:"Dataset file (N-Triples).")
-  in
   let workload_file =
     Arg.(value & opt (some string) None
          & info [ "w"; "workload" ] ~docv:"FILE"
@@ -612,21 +597,20 @@ let serve_cmd =
          & info [ "detail" ] ~doc:"Print one line per query before the summary.")
   in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print the full server report (per-query latencies, \
-                   batches, savings vs back-to-back) as JSON.")
+    json_arg
+      "Print the full server report (per-query latencies, batches, savings \
+       vs back-to-back) as JSON."
   in
   let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Fault-injection spec for every simulated workflow (same \
-                   syntax as rapida query --faults).")
+    spec_arg "faults" ~docv:"SPEC"
+      ~doc:"Fault-injection spec for every simulated workflow (same \
+            syntax as rapida query --faults)."
+      Fault_injector.parse_spec Fault_injector.default
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Per-task memory budget (same syntax as rapida query --mem).")
+    spec_arg "mem" ~docv:"SPEC"
+      ~doc:"Per-task memory budget (same syntax as rapida query --mem)."
+      Memory.parse_spec Memory.default
   in
   let deadline =
     Arg.(value & opt (some float) None
@@ -694,25 +678,15 @@ let serve_cmd =
                    (each single escape costs one heuristic-planned group).")
   in
   let run data workload_file generate seed mean_gap engine window policy
-      no_share detail json faults_spec mem_spec deadline queue_cap shed_policy
+      no_share detail json faults mem deadline queue_cap shed_policy
       degrade breaker breaker_cooldown optimize opt_policy plan_cache
       opt_defense verbose =
     setup_logs verbose;
     let ( let* ) = Result.bind in
     let usage r = Result.map_error (fun msg -> (2, msg)) r in
     match
-      let* fault_cfg =
-        usage
-          (match faults_spec with
-          | None -> Ok Fault_injector.default
-          | Some spec -> Fault_injector.parse_spec spec)
-      in
-      let* mem_cfg =
-        usage
-          (match mem_spec with
-          | None -> Ok Memory.default
-          | Some spec -> Memory.parse_spec spec)
-      in
+      let* fault_cfg = usage faults in
+      let* mem_cfg = usage mem in
       let* () =
         if window < 0.0 || not (Float.is_finite window) then
           Error (2, "window must be a non-negative number of seconds")
@@ -797,7 +771,9 @@ let serve_cmd =
              windowed admission, cross-query MQO (shared composite plans \
              across overlapping queries), slot scheduling, and per-query \
              latency/savings reporting against back-to-back execution.")
-    Term.(const run $ data $ workload_file $ generate $ seed $ mean_gap
+    Term.(const run
+          $ Arg.required (data_arg "Dataset file (N-Triples).")
+          $ workload_file $ generate $ seed $ mean_gap
           $ engine $ window $ policy $ no_share $ detail $ json $ faults
           $ mem $ deadline $ queue_cap $ shed_policy $ degrade $ breaker
           $ breaker_cooldown $ optimize_arg $ opt_policy_arg $ plan_cache
@@ -877,7 +853,7 @@ let count_severity reports sev =
 
 (* Resolve FILE / --catalog / --catalog-all inputs to (label, source)
    pairs, shared by lint and analyze. *)
-let gather_inputs ~verb files catalog_ids catalog_all =
+let gather_inputs ~verb files catalog_ids catalog_all () =
   let file_inputs =
     List.map
       (fun path ->
@@ -906,30 +882,39 @@ let gather_inputs ~verb files catalog_ids catalog_all =
          verb);
   inputs
 
-let lint_cmd =
+(* FILE..., repeatable -c/--catalog and --catalog-all, shared by lint and
+   analyze. The term yields a thunk that resolves them to (label, source)
+   pairs, so --rules runs without any input. *)
+let inputs_arg ~verb =
+  let upper = String.capitalize_ascii verb in
   let files =
     Arg.(value & pos_all string []
-         & info [] ~docv:"FILE" ~doc:"SPARQL query files to lint.")
+         & info [] ~docv:"FILE"
+             ~doc:(Printf.sprintf "SPARQL query files to %s." verb))
   in
   let catalog_ids =
     Arg.(value & opt_all string []
          & info [ "c"; "catalog" ]
-             ~doc:"Lint a catalog query by id (repeatable).")
+             ~doc:
+               (Printf.sprintf "%s a catalog query by id (repeatable)." upper))
   in
   let catalog_all =
     Arg.(value & flag
-         & info [ "catalog-all" ] ~doc:"Lint every catalog query.")
+         & info [ "catalog-all" ]
+             ~doc:(Printf.sprintf "%s every catalog query." upper))
   in
+  Term.(const (gather_inputs ~verb) $ files $ catalog_ids $ catalog_all)
+
+let lint_cmd =
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print one report object per input: file, counts by \
-                   severity, and the diagnostics with rule ids and spans.")
+    json_arg
+      "Print one report object per input: file, counts by severity, and the \
+       diagnostics with rule ids and spans."
   in
-  let run files catalog_ids catalog_all json min_severity rules =
+  let run inputs json min_severity rules =
     if rules then print_rules json
     else begin
-      let inputs = gather_inputs ~verb:"lint" files catalog_ids catalog_all in
+      let inputs = inputs () in
       let reports =
         List.map (fun (label, src) -> (label, lint_text src)) inputs
         |> apply_min_severity min_severity
@@ -966,36 +951,48 @@ let lint_cmd =
              when no error-severity diagnostics were reported (no finding \
              at or above --min-severity, when given), 1 otherwise, 2 on \
              usage errors.")
-    Term.(const run $ files $ catalog_ids $ catalog_all $ json
-          $ min_severity_arg $ rules_arg)
+    Term.(const run $ inputs_arg ~verb:"lint" $ json $ min_severity_arg
+          $ rules_arg)
 
 (* --- analyze ------------------------------------------------------------ *)
 
-let analyze_cmd =
-  let files =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"FILE" ~doc:"SPARQL query files to analyze.")
-  in
-  let catalog_ids =
-    Arg.(value & opt_all string []
-         & info [ "c"; "catalog" ]
-             ~doc:"Analyze a catalog query by id (repeatable).")
-  in
-  let catalog_all =
-    Arg.(value & flag
-         & info [ "catalog-all" ] ~doc:"Analyze every catalog query.")
-  in
-  let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Dataset file (N-Triples) to build the statistics catalog \
-                   from.")
-  in
+(* -d/--data or --stats, shared by analyze and explain: the statistics
+   catalog, built from a dataset or loaded from a dump. The term yields a
+   thunk, so a command loads the catalog only when it needs one;
+   [missing] is the usage error unless exactly one flag was given. *)
+let catalog_arg ~data_doc ~stats_doc ~missing =
   let stats_file =
     Arg.(value & opt (some string) None
-         & info [ "stats" ] ~docv:"FILE"
-             ~doc:"Load a previously dumped statistics catalog (JSON) \
-                   instead of scanning a dataset.")
+         & info [ "stats" ] ~docv:"FILE" ~doc:stats_doc)
+  in
+  let load data stats_file () =
+    match (data, stats_file) with
+    | Some path, None -> (
+      match load_graph path with
+      | Ok graph -> Stats_catalog.build graph
+      | Error msg -> die_usage msg)
+    | None, Some path -> (
+      let parsed =
+        Result.bind (read_file path) (fun src ->
+            Result.map_error
+              (fun msg -> Printf.sprintf "%s: %s" path msg)
+              (Result.bind (Json.of_string src) Stats_catalog.of_json))
+      in
+      match parsed with
+      | Ok catalog -> catalog
+      | Error msg -> die_usage msg)
+    | _ -> die_usage missing
+  in
+  Term.(const load $ Arg.value (data_arg ~docv:"FILE" data_doc) $ stats_file)
+
+let analyze_cmd =
+  let catalog =
+    catalog_arg
+      ~data_doc:"Dataset file (N-Triples) to build the statistics catalog \
+                 from."
+      ~stats_doc:"Load a previously dumped statistics catalog (JSON) \
+                  instead of scanning a dataset."
+      ~missing:"provide exactly one of --data or --stats"
   in
   let dump_stats =
     Arg.(value & opt (some string) None
@@ -1004,44 +1001,23 @@ let analyze_cmd =
                    --stats) and continue.")
   in
   let mem =
-    Arg.(value & opt (some string) None
-         & info [ "mem" ] ~docv:"SPEC"
-             ~doc:"Per-task memory budget the byte-level diagnostics \
-                   (broadcast feasibility, predicted map-join overcommit) \
-                   compare against (same syntax as rapida query --mem).")
+    spec_arg "mem" ~docv:"SPEC"
+      ~doc:"Per-task memory budget the byte-level diagnostics (broadcast \
+            feasibility, predicted map-join overcommit) compare against \
+            (same syntax as rapida query --mem)."
+      Memory.parse_spec Memory.default
   in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print one report object per input: file, counts by \
-                   severity, the diagnostics, and the annotated plan tree \
-                   with cardinality and byte intervals.")
+    json_arg
+      "Print one report object per input: file, counts by severity, the \
+       diagnostics, and the annotated plan tree with cardinality and byte \
+       intervals."
   in
-  let run files catalog_ids catalog_all data stats_file dump_stats mem_spec
-      json min_severity rules =
+  let run inputs catalog dump_stats mem json min_severity rules =
     if rules then print_rules json
     else begin
-      let inputs =
-        gather_inputs ~verb:"analyze" files catalog_ids catalog_all
-      in
-      let catalog =
-        match (data, stats_file) with
-        | Some path, None -> (
-          match load_graph path with
-          | Ok graph -> Stats_catalog.build graph
-          | Error msg -> die_usage msg)
-        | None, Some path -> (
-          let parsed =
-            Result.bind (read_file path) (fun src ->
-                Result.map_error
-                  (fun msg -> Printf.sprintf "%s: %s" path msg)
-                  (Result.bind (Json.of_string src) Stats_catalog.of_json))
-          in
-          match parsed with
-          | Ok catalog -> catalog
-          | Error msg -> die_usage msg)
-        | _ -> die_usage "provide exactly one of --data or --stats"
-      in
+      let inputs = inputs () in
+      let catalog = catalog () in
       (match dump_stats with
       | None -> ()
       | Some path -> (
@@ -1057,12 +1033,7 @@ let analyze_cmd =
         | exception Sys_error msg ->
           die_runtime ("cannot write stats: " ^ msg)));
       let memory =
-        match mem_spec with
-        | None -> Rapida_mapred.Memory.default
-        | Some spec -> (
-          match Rapida_mapred.Memory.parse_spec spec with
-          | Ok cfg -> cfg
-          | Error msg -> die_usage msg)
+        match mem with Ok cfg -> cfg | Error msg -> die_usage msg
       in
       (* Unparsable inputs still yield a report — the lint diagnostics
          carry the parse failure — so the exit code works like lint. *)
@@ -1136,25 +1107,16 @@ let analyze_cmd =
              stats-aware diagnostics (statically empty joins, zero-\
              selectivity filters, skew, broadcast feasibility). Exits 0 \
              when the gate passes, 1 otherwise, 2 on usage errors.")
-    Term.(const run $ files $ catalog_ids $ catalog_all $ data $ stats_file
-          $ dump_stats $ mem $ json $ min_severity_arg $ rules_arg)
+    Term.(const run $ inputs_arg ~verb:"analyze" $ catalog $ dump_stats $ mem
+          $ json $ min_severity_arg $ rules_arg)
 
 (* --- explain ------------------------------------------------------------ *)
 
 let explain_cmd =
-  let query_file =
-    Arg.(value & opt (some string) None
-         & info [ "q"; "query" ] ~doc:"SPARQL query file.")
-  in
-  let catalog_id =
-    Arg.(value & opt (some string) None
-         & info [ "c"; "catalog" ] ~doc:"Catalog query id.")
-  in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print the plan description and predicted MR-cycle counts \
-                   per engine as JSON.")
+    json_arg
+      "Print the plan description and predicted MR-cycle counts per engine \
+       as JSON."
   in
   let lint =
     Arg.(value & flag
@@ -1169,20 +1131,16 @@ let explain_cmd =
                    intervals from a statistics catalog (requires --data or \
                    --stats) and print the stats-aware diagnostics.")
   in
-  let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Dataset file (N-Triples) to build the --analyze \
-                   statistics catalog from.")
+  let catalog =
+    catalog_arg
+      ~data_doc:"Dataset file (N-Triples) to build the --analyze \
+                 statistics catalog from."
+      ~stats_doc:"Statistics catalog (JSON, from rapida analyze \
+                  --dump-stats) for --analyze."
+      ~missing:"--analyze and --optimize need exactly one of --data or --stats"
   in
-  let stats_file =
-    Arg.(value & opt (some string) None
-         & info [ "stats" ] ~docv:"FILE"
-             ~doc:"Statistics catalog (JSON, from rapida analyze \
-                   --dump-stats) for --analyze.")
-  in
-  let run query_file catalog_id json lint analyze optimize opt_policy data
-      stats_file =
+  let run (query_file, catalog_id) json lint analyze optimize opt_policy
+      catalog =
     let src =
       match query_text query_file catalog_id with
       | Ok src -> src
@@ -1192,27 +1150,7 @@ let explain_cmd =
     match Rapida_sparql.Analytical.parse src with
     | Error msg -> die_usage msg
     | Ok q ->
-      let catalog =
-        lazy
-          (match (data, stats_file) with
-          | Some path, None -> (
-            match load_graph path with
-            | Ok graph -> Stats_catalog.build graph
-            | Error msg -> die_usage msg)
-          | None, Some path -> (
-            let parsed =
-              Result.bind (read_file path) (fun s ->
-                  Result.map_error
-                    (fun msg -> Printf.sprintf "%s: %s" path msg)
-                    (Result.bind (Json.of_string s) Stats_catalog.of_json))
-            in
-            match parsed with
-            | Ok catalog -> catalog
-            | Error msg -> die_usage msg)
-          | _ ->
-            die_usage
-              "--analyze and --optimize need exactly one of --data or --stats")
-      in
+      let catalog = Lazy.from_fun catalog in
       let analysis =
         if not analyze then None
         else Some (Card_analysis.analyze (Lazy.force catalog) q)
@@ -1318,8 +1256,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Show overlap analysis and the composite rewriting for a query")
-    Term.(const run $ query_file $ catalog_id $ json $ lint $ analyze
-          $ optimize_arg $ opt_policy_arg $ data $ stats_file)
+    Term.(const run $ query_source_args $ json $ lint $ analyze
+          $ optimize_arg $ opt_policy_arg $ catalog)
 
 (* --- catalog ------------------------------------------------------------ *)
 
@@ -1410,10 +1348,10 @@ let fuzz_cmd =
                    metamorphic, analyzer, robustness. Default: all.")
   in
   let data =
-    Arg.(value & opt (some string) None
-         & info [ "d"; "data" ] ~docv:"FILE"
-             ~doc:"Fuzz against this dataset (N-Triples) instead of the \
-                   built-in BSBM graph.")
+    Arg.value
+      (data_arg ~docv:"FILE"
+         "Fuzz against this dataset (N-Triples) instead of the built-in \
+          BSBM graph.")
   in
   let products =
     Arg.(value & opt int 30
@@ -1434,10 +1372,9 @@ let fuzz_cmd =
                    planner x optimizer policy) per metamorphic check.")
   in
   let json =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Print the machine-readable report (timings, cases/sec) \
-                   instead of the text summary.")
+    json_arg
+      "Print the machine-readable report (timings, cases/sec) instead of \
+       the text summary."
   in
   let run seed budget time_budget corpus oracles data products adversarial
       knobs json verbose =

@@ -130,122 +130,27 @@ let pp_phases ~title ~engines ppf runs =
     "(simulated seconds per phase: startup/map/shuffle+sort/reduce\
      [/spill])@."
 
-let pp_degradation ~engines ppf (deg : Experiment.degradation) =
-  Fmt.pf ppf "@.== fault degradation: %s (seed %d) ==@."
-    deg.Experiment.d_query.Catalog.id deg.Experiment.d_seed;
-  Fmt.pf ppf "%-6s" "fault";
-  List.iter (fun k -> Fmt.pf ppf " %18s" (engine_header k)) engines;
+let pp_knob_sweep ~title ~row_header:(row_header, row_width) ~cell_width
+    ~cell ~legend ppf rows =
+  Fmt.pf ppf "@.== %s ==@." title;
+  Fmt.pf ppf "%-*s" row_width row_header;
+  List.iter
+    (fun k -> Fmt.pf ppf " %*s" cell_width (engine_header k))
+    Engine.all_kinds;
   Fmt.pf ppf "@.";
   List.iter
-    (fun rate ->
-      Fmt.pf ppf "%-6s" (Printf.sprintf "%g" rate);
+    (fun (label, points) ->
+      Fmt.pf ppf "%-*s" row_width label;
       List.iter
-        (fun k ->
-          let cell =
-            match Experiment.degradation_point deg k rate with
-            | None -> "-"
-            | Some p ->
-              if p.Experiment.d_aborted then "aborted"
-              else
-                Printf.sprintf "%.1fs (%.2fx)%s" p.Experiment.d_time_s
-                  p.Experiment.d_slowdown
-                  (if p.Experiment.d_transparent then "" else "*")
-          in
-          Fmt.pf ppf " %18s" cell)
-        engines;
+        (fun p ->
+          Fmt.pf ppf " %*s" cell_width
+            (match p with
+            | Experiment.Completed r -> cell r
+            | Experiment.Aborted -> "aborted"))
+        points;
       Fmt.pf ppf "@.")
-    deg.Experiment.d_rates;
-  Fmt.pf ppf
-    "(simulated seconds and slowdown vs fault-free; * = result diverged)@."
-
-let pp_memory ~engines ppf (sweep : Experiment.memory_sweep) =
-  Fmt.pf ppf "@.== memory degradation: %s ==@."
-    sweep.Experiment.m_query.Catalog.id;
-  Fmt.pf ppf "%-8s" "heap";
-  List.iter (fun k -> Fmt.pf ppf " %24s" (engine_header k)) engines;
-  Fmt.pf ppf "@.";
-  let pp_heap b =
-    if b >= 1024 * 1024 * 1024 then
-      Printf.sprintf "%dG" (b / (1024 * 1024 * 1024))
-    else if b >= 1024 * 1024 then Printf.sprintf "%dM" (b / (1024 * 1024))
-    else if b >= 1024 then Printf.sprintf "%dK" (b / 1024)
-    else Printf.sprintf "%dB" b
-  in
-  List.iter
-    (fun heap ->
-      Fmt.pf ppf "%-8s" (pp_heap heap);
-      List.iter
-        (fun k ->
-          let cell =
-            match Experiment.memory_point sweep k heap with
-            | None -> "-"
-            | Some p ->
-              let flags =
-                String.concat ""
-                  [
-                    (if p.Experiment.m_spill_passes > 0 then " s" else "");
-                    (if p.Experiment.m_oom_kills > 0 then "!o" else "");
-                    (if p.Experiment.m_mapjoin_fallbacks > 0 then "+r"
-                     else "");
-                    (if p.Experiment.m_transparent then "" else "*");
-                  ]
-              in
-              Printf.sprintf "%.1fs (%.2fx)%s" p.Experiment.m_time_s
-                p.Experiment.m_slowdown flags
-          in
-          Fmt.pf ppf " %24s" cell)
-        engines;
-      Fmt.pf ppf "@.")
-    sweep.Experiment.m_heaps;
-  Fmt.pf ppf
-    "(simulated seconds and slowdown vs the unbounded run; s = spilled, \
-     !o = OOM retries, +r = map-join fell back to repartition, * = result \
-     diverged)@."
-
-let pp_recovery ~engines ppf (sweep : Experiment.recovery) =
-  let module Checkpoint = Rapida_mapred.Checkpoint in
-  Fmt.pf ppf "@.== checkpoint recovery: %s (seed %d) ==@."
-    sweep.Experiment.r_query.Catalog.id sweep.Experiment.r_seed;
-  Fmt.pf ppf "%-20s" "fault/policy";
-  List.iter (fun k -> Fmt.pf ppf " %22s" (engine_header k)) engines;
-  Fmt.pf ppf "@.";
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun policy ->
-          Fmt.pf ppf "%-20s"
-            (Fmt.str "%g %a" rate Checkpoint.pp_policy policy);
-          List.iter
-            (fun k ->
-              let cell =
-                match Experiment.recovery_point sweep k rate policy with
-                | None -> "-"
-                | Some p ->
-                  if not p.Experiment.r_completed then "aborted"
-                  else
-                    String.concat ""
-                      [
-                        Printf.sprintf "%.1fs" p.Experiment.r_time_s;
-                        (if p.Experiment.r_recoveries > 0 then
-                           Printf.sprintf " r%d/%.0fs"
-                             p.Experiment.r_recoveries
-                             p.Experiment.r_replayed_s
-                         else "");
-                        (if p.Experiment.r_checkpoints > 0 then
-                           Printf.sprintf " c%d" p.Experiment.r_checkpoints
-                         else "");
-                        (if p.Experiment.r_transparent then "" else "*");
-                      ]
-              in
-              Fmt.pf ppf " %22s" cell)
-            engines;
-          Fmt.pf ppf "@.")
-        sweep.Experiment.r_policies)
-    sweep.Experiment.r_rates;
-  Fmt.pf ppf
-    "(simulated seconds; rN/Ms = N recoveries replaying M s since the \
-     last checkpoint, cK = K checkpoints written, aborted = ran out of \
-     retries, * = result diverged)@."
+    rows;
+  Fmt.pf ppf "(%s)@." legend
 
 let pp_verification ppf runs =
   let total = List.length runs in

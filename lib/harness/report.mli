@@ -26,14 +26,6 @@ val pp_bytes :
 val pp_phases :
   title:string -> engines:Engine.kind list -> Experiment.run list Fmt.t
 
-(** [pp_degradation ~engines deg] renders a fault-injection degradation
-    sweep: a row per fault rate, a column per engine showing simulated
-    seconds and the slowdown over that engine's fault-free run.
-    [aborted] marks a workflow that ran out of retries; a trailing [*]
-    marks a (would-be-transparency-violating) diverged result. *)
-val pp_degradation :
-  engines:Engine.kind list -> Experiment.degradation Fmt.t
-
 (** [pp_verification runs] summarizes cross-engine agreement. *)
 val pp_verification : Experiment.run list Fmt.t
 
@@ -43,25 +35,19 @@ val speedup :
   Experiment.run -> baseline:Engine.kind -> target:Engine.kind ->
   float option
 
-(** [pp_memory ~engines sweep] renders a memory-budget sweep: a row per
-    heap budget, a column per engine showing simulated seconds and the
-    slowdown over that engine's unbounded run, flagged with [s] when the
-    engine spilled, [!o] when tasks were OOM-killed (and rerun with the
-    combiner disabled), [+r] when a broadcast join fell back to a
-    repartition join, and a trailing [*] on a
-    (would-be-transparency-violating) diverged result. *)
-val pp_memory :
-  engines:Engine.kind list -> Experiment.memory_sweep Fmt.t
-
-(** [pp_recovery ~engines sweep] renders a checkpoint-recovery sweep: a
-    row per fault-rate/policy pair, a column per engine showing
-    simulated seconds, [rN/Ms] when the workflow recovered N times by
-    replaying M simulated seconds since the last checkpoint, and [cK]
-    when K checkpoints were written. [aborted] marks a workflow that ran
-    out of retries (reachable only under the [Never] policy); a trailing
-    [*] marks a (would-be-transparency-violating) diverged result. *)
-val pp_recovery :
-  engines:Engine.kind list -> Experiment.recovery Fmt.t
+(** [pp_knob_sweep ~title ~row_header:(header, width) ~cell_width ~cell
+    ~legend rows] renders a {!Experiment.knob_sweep}: a row per row
+    config, labelled in a [width]-wide first column under [header], and
+    a [cell_width]-wide column per engine. [cell] renders a completed
+    run; an aborted one prints [aborted]. [legend] closes the table in
+    parentheses. *)
+val pp_knob_sweep :
+  title:string ->
+  row_header:string * int ->
+  cell_width:int ->
+  cell:(Experiment.knob_run -> string) ->
+  legend:string ->
+  (string * Experiment.knob_point list) list Fmt.t
 
 (** [pp_throughput sweep] renders a query-server throughput sweep: a row
     per (admission window, scheduler policy, sharing) setting showing

@@ -94,6 +94,57 @@ let test_engine_subset () =
   in
   check_int "one engine" 1 (List.length run.Experiment.results)
 
+(* The one knob-sweep loop: a row equal to the baseline reproduces it on
+   every engine, and a row whose workflow cannot finish (99% of task
+   attempts crash, with no retries) comes back as an aborted point
+   instead of raising. *)
+let test_knob_sweep () =
+  let module Fault_injector = Rapida_mapred.Fault_injector in
+  let doomed =
+    Plan_util.make ~base:options
+      ~faults:
+        {
+          Fault_injector.default with
+          Fault_injector.task_fail_p = 0.99;
+          max_attempts = 1;
+          job_retries = 0;
+        }
+      ()
+  in
+  let rows =
+    Experiment.knob_sweep ~baseline:options
+      [ ("same", options); ("doomed", doomed) ]
+      (Lazy.force input) (Catalog.find_exn "MG1")
+  in
+  (match rows with
+  | [ ("same", same); ("doomed", aborted) ] ->
+    check_int "a point per engine" (List.length Engine.all_kinds)
+      (List.length same);
+    List.iter
+      (function
+        | Experiment.Completed r ->
+          Alcotest.(check (float 0.0)) "slowdown 1" 1.0 r.Experiment.k_slowdown;
+          check_bool "matches baseline" true r.Experiment.k_matches
+        | Experiment.Aborted -> Alcotest.fail "baseline row aborted")
+      same;
+    check_int "a point per engine" (List.length Engine.all_kinds)
+      (List.length aborted);
+    List.iter
+      (function
+        | Experiment.Aborted -> ()
+        | Experiment.Completed _ -> Alcotest.fail "doomed row completed")
+      aborted
+  | _ -> Alcotest.fail "rows come back labelled, in order");
+  let table =
+    Fmt.str "%a"
+      (Report.pp_knob_sweep ~title:"T" ~row_header:("row", 6) ~cell_width:10
+         ~cell:(fun r -> Printf.sprintf "%.2fx" r.Experiment.k_slowdown)
+         ~legend:"L")
+      rows
+  in
+  check_bool "completed cell" true (contains ~needle:"same        1.00x" table);
+  check_bool "aborted cell" true (contains ~needle:"   aborted" table)
+
 let suite =
   [
     Alcotest.test_case "run collects all engines" `Quick test_run_collects_all_engines;
@@ -101,4 +152,6 @@ let suite =
     Alcotest.test_case "speedup" `Quick test_speedup;
     Alcotest.test_case "reports render" `Quick test_reports_render;
     Alcotest.test_case "engine subset" `Quick test_engine_subset;
+    Alcotest.test_case "knob sweep: baseline row and aborted row" `Quick
+      test_knob_sweep;
   ]
