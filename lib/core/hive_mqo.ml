@@ -60,14 +60,33 @@ let witness_cols composite (info : Composite.pattern_info) =
 
 let extract_and_aggregate wf composite q_opt (sq : Analytical.subquery)
     (info : Composite.pattern_info) =
-  (* Map-side: keep rows where the pattern's secondary witnesses bound. *)
-  let witnesses = witness_cols composite info in
+  let renames =
+    List.map (fun (v, cv) -> (cv, v)) info.var_map
+  in
+  (* A variable the pattern repeats in a star maps to one composite
+     column per triple it is the object of: the first one carries it. *)
+  let cols = Composite.pattern_columns composite info in
+  let var_of c = Option.value ~default:c (List.assoc_opt c renames) in
+  let first c = List.find (fun c' -> var_of c' = var_of c) cols in
+  let pos = Table.col_index q_opt in
+  let witnesses = List.map pos (witness_cols composite info) in
+  let repeats =
+    List.filter_map
+      (fun c -> if first c = c then None else Some (pos (first c), pos c))
+      cols
+  in
+  (* Map-side: keep rows where the pattern's secondary witnesses bound
+     and a repeated variable's columns agree. *)
   let filtered =
     Relops.filter
-      (fun t row ->
-        List.for_all
-          (fun col -> row.(Table.col_index t col) <> None)
-          witnesses)
+      (fun _ row ->
+        List.for_all (fun i -> row.(i) <> None) witnesses
+        && List.for_all
+             (fun (i, j) ->
+               match row.(i), row.(j) with
+               | Some x, Some y -> Rapida_rdf.Term.equal x y
+               | _ -> false)
+             repeats)
       q_opt
   in
   (* One MR cycle: distinct bindings of the original pattern (the left
@@ -76,14 +95,11 @@ let extract_and_aggregate wf composite q_opt (sq : Analytical.subquery)
   let distinct =
     Mr_relops.distinct_project wf
       ~name:(Printf.sprintf "mqo_extract%d" info.pat_id)
-      ~cols:(Composite.pattern_columns composite info)
+      ~cols:(List.filter (fun c -> first c = c) cols)
       filtered
   in
   (* Back to the pattern's own variable names, then filters (map-side) and
      one aggregation cycle. *)
-  let renames =
-    List.map (fun (v, cv) -> (cv, v)) info.var_map
-  in
   let renamed = Relops.rename_cols distinct renames in
   let renamed, pending = Plan_util.apply_ready_filters renamed sq.filters in
   if pending <> [] then

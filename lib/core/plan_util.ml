@@ -1,6 +1,5 @@
 open Rapida_rdf
 module Ast = Rapida_sparql.Ast
-module Binding = Rapida_sparql.Binding
 module Analytical = Rapida_sparql.Analytical
 module Table = Rapida_relational.Table
 module Relops = Rapida_relational.Relops
@@ -108,307 +107,121 @@ let var_name = function
   | Ast.Nterm t ->
     invalid_arg (Fmt.str "expected variable, got %a" Term.pp t)
 
-(* An unbound-property pattern scans the union of every partition as a
-   three-column (s, p, o) relation, then applies the pattern's constant
-   constraints. *)
-let unbound_tp_table vp (tp : Ast.triple_pattern) =
-  let rows =
-    List.concat_map
-      (fun (term, t) ->
-        let is_type_partition =
-          String.length t.Table.name >= 5 && String.sub t.Table.name 0 5 = "type_"
-        in
-        if is_type_partition then
-          List.map
-            (fun row -> [| row.(0); Some Namespace.rdf_type; Some term |])
-            t.Table.rows
-        else
-          List.map (fun row -> [| row.(0); Some term; row.(1) |]) t.Table.rows)
-      (Vp_store.partitions vp)
-  in
-  let t = Table.make ~name:"vp_all" ~schema:[ "!s"; "!p"; "!o" ] rows in
-  (* Constrain and name each position. *)
-  let constraints, renames, keep =
+(* [bind_scan t nodes] names a scan's columns after the pattern nodes
+   they hold, [nodes] in [t]'s column order. A constant keeps the rows
+   holding it and drops its column. A variable names the first column
+   holding it; a repeated one keeps the rows whose other columns for it
+   agree (?x p ?x: s = o) and drops those columns. A pattern of distinct
+   variables is a schema relabel with no row copy. *)
+let bind_scan (t : Table.t) nodes =
+  let tests, named =
     List.fold_left
-      (fun (cs, rs, keep) (col, node) ->
+      (fun (tests, named) (i, node) ->
         match node with
-        | Ast.Nvar v -> (cs, (col, v) :: rs, col :: keep)
-        | Ast.Nterm c -> ((col, c) :: cs, rs, keep))
-      ([], [], [])
-      [ ("!o", tp.tp_o); ("!p", tp.tp_p); ("!s", tp.tp_s) ]
+        | Ast.Nterm c -> ((i, `Is c) :: tests, named)
+        | Ast.Nvar v -> (
+          match List.assoc_opt v named with
+          | Some j -> ((i, `Same j) :: tests, named)
+          | None -> (tests, named @ [ (v, i) ])))
+      ([], [])
+      (List.mapi (fun i node -> (i, node)) nodes)
+  in
+  let holds (row : Table.row) (i, test) =
+    match row.(i), test with
+    | None, _ -> false
+    | Some x, `Is c -> Term.equal x c
+    | Some _, `Same j -> Option.equal Term.equal row.(i) row.(j)
   in
   let t =
-    Relops.filter
-      (fun tbl row ->
-        List.for_all
-          (fun (col, c) ->
-            match row.(Table.col_index tbl col) with
-            | Some v -> Term.equal v c
-            | None -> false)
-          constraints)
-      t
+    if tests = [] then t
+    else Relops.filter (fun _ row -> List.for_all (holds row) tests) t
   in
-  Relops.rename_cols (Relops.project t keep) renames
+  let keep = List.map (fun (_, i) -> List.nth t.Table.schema i) named in
+  let t = if List.length keep = List.length nodes then t else Relops.project t keep in
+  Relops.rename_cols t (List.map2 (fun c (v, _) -> (c, v)) keep named)
+
+(* The rdf:type triples as one (s, o) scan: the class partitions'
+   union. *)
+let class_union vp =
+  Table.make ~name:"vp_type" ~schema:[ "s"; "o" ]
+    (List.concat_map
+       (fun (cls, t) ->
+         List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows)
+       (Vp_store.class_partitions vp))
+
+(* An unbound-property pattern scans the union of every partition as a
+   three-column (s, p, o) relation. *)
+let unbound_tp_table vp (tp : Ast.triple_pattern) =
+  let spo p (row : Table.row) = [| row.(0); Some p; row.(1) |] in
+  let rows =
+    List.concat_map
+      (fun (p, t) -> List.map (spo p) t.Table.rows)
+      (Vp_store.property_partitions vp)
+    @ List.map (spo Namespace.rdf_type) (class_union vp).Table.rows
+  in
+  bind_scan
+    (Table.make ~name:"vp_all" ~schema:[ "!s"; "!p"; "!o" ] rows)
+    [ tp.tp_s; tp.tp_p; tp.tp_o ]
 
 let tp_table vp (tp : Ast.triple_pattern) =
-  match tp.tp_p with
-  | Ast.Nvar _ -> unbound_tp_table vp tp
-  | Ast.Nterm prop ->
-  if Term.equal prop Namespace.rdf_type then
-    match tp.tp_o with
-    | Ast.Nterm cls ->
-      let t = Vp_store.type_table vp cls in
-      Relops.rename_cols t [ ("s", var_name tp.tp_s) ]
-    | Ast.Nvar v ->
-      (* rdf:type with a variable object: union the per-class partitions. *)
-      let rows =
-        List.concat_map
-          (fun (cls, t) ->
-            if String.length t.Table.name >= 5
-               && String.sub t.Table.name 0 5 = "type_"
-            then
-              List.map
-                (fun row -> [| row.(0); Some cls |])
-                t.Table.rows
-            else [])
-          (Vp_store.partitions vp)
-      in
-      Table.make ~name:"vp_type" ~schema:[ var_name tp.tp_s; v ] rows
-  else
-    let t = Vp_store.property_table vp prop in
-    match tp.tp_o with
-    | Ast.Nvar v ->
-      Relops.rename_cols t [ ("s", var_name tp.tp_s); ("o", v) ]
-    | Ast.Nterm c ->
-      let filtered =
-        Relops.filter
-          (fun tbl row ->
-            match row.(Table.col_index tbl "o") with
-            | Some o -> Term.equal o c
-            | None -> false)
-          t
-      in
-      Relops.project
-        (Relops.rename_cols filtered [ ("s", var_name tp.tp_s) ])
-        [ var_name tp.tp_s ]
+  let bound t objects = bind_scan t (Ast.Nvar (var_name tp.tp_s) :: objects) in
+  match tp.tp_p, tp.tp_o with
+  | Ast.Nvar _, _ -> unbound_tp_table vp tp
+  | Ast.Nterm prop, Ast.Nterm cls when Term.equal prop Namespace.rdf_type ->
+    bound (Vp_store.type_table vp cls) []
+  | Ast.Nterm prop, o when Term.equal prop Namespace.rdf_type ->
+    bound (class_union vp) [ o ]
+  | Ast.Nterm prop, o -> bound (Vp_store.property_table vp prop) [ o ]
 
 let ctp_table vp ~subject_var (ctp : Composite.ctp) =
-  if Term.equal ctp.prop Namespace.rdf_type then
+  (* A constant object stays as a witness column. *)
+  let scan =
     match ctp.obj_const with
-    | Some cls ->
+    | Some cls when Term.equal ctp.prop Namespace.rdf_type ->
       let t = Vp_store.type_table vp cls in
-      let rows = List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows in
-      Table.make ~name:t.Table.name ~schema:[ subject_var; ctp.obj_var ] rows
-    | None ->
-      let rows =
-        List.concat_map
-          (fun (cls, t) ->
-            if String.length t.Table.name >= 5
-               && String.sub t.Table.name 0 5 = "type_"
-            then List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows
-            else [])
-          (Vp_store.partitions vp)
-      in
-      Table.make ~name:"vp_type" ~schema:[ subject_var; ctp.obj_var ] rows
-  else
-    let t = Vp_store.property_table vp ctp.prop in
-    let t =
-      match ctp.obj_const with
-      | None -> t
-      | Some c ->
-        Relops.filter
-          (fun tbl row ->
-            match row.(Table.col_index tbl "o") with
-            | Some o -> Term.equal o c
-            | None -> false)
-          t
-    in
-    Relops.rename_cols t [ ("s", subject_var); ("o", ctp.obj_var) ]
-
-(* --- Multiway same-key star join --------------------------------------- *)
-
-(* All tables share exactly one column: the star's subject variable. *)
-let star_subject_col required =
-  match required with
-  | t :: _ -> List.hd t.Table.schema
-  | [] -> invalid_arg "star_join: no required tables"
-
-let star_schema subject required optional =
-  let non_subject t =
-    List.filter (fun c -> not (String.equal c subject)) t.Table.schema
+      Table.make ~name:t.Table.name ~schema:[ "s"; "o" ]
+        (List.map (fun row -> [| row.(0); Some cls |]) t.Table.rows)
+    | None when Term.equal ctp.prop Namespace.rdf_type -> class_union vp
+    | None -> Vp_store.property_table vp ctp.prop
+    | Some c ->
+      Relops.filter
+        (fun _ row -> Option.equal Term.equal row.(1) (Some c))
+        (Vp_store.property_table vp ctp.prop)
   in
-  subject :: List.concat_map non_subject (required @ optional)
+  bind_scan scan [ Ast.Nvar subject_var; Ast.Nvar ctp.obj_var ]
 
-(* Merge one row per table (optional tables may miss) into the star
-   schema. *)
-let merge_star_row subject required optional per_table =
-  let cells = ref [] in
-  List.iteri
-    (fun i t ->
-      let row = List.nth per_table i in
-      List.iteri
-        (fun ci col ->
-          if not (String.equal col subject) then
-            cells :=
-              (match row with
-              | Some r -> r.(ci)
-              | None -> None)
-              :: !cells)
-        t.Table.schema)
-    (required @ optional);
-  !cells
-
-let star_join_rows subject required optional key groups =
-  (* [groups.(i)] = rows of table i for this subject key. *)
-  let n_req = List.length required in
-  let req_groups = Array.sub groups 0 n_req in
-  if Array.exists (fun g -> g = []) req_groups then []
-  else
-    (* Cartesian product across tables; optional tables with no rows
-       contribute a single NULL row. *)
-    let slots =
-      Array.to_list
-        (Array.mapi
-           (fun i g ->
-             if i < n_req then List.map (fun r -> Some r) g
-             else if g = [] then [ None ]
-             else List.map (fun r -> Some r) g)
-           groups)
-    in
-    let combos =
-      List.fold_left
-        (fun acc slot ->
-          List.concat_map (fun prefix -> List.map (fun r -> prefix @ [ r ]) slot) acc)
-        [ [] ] slots
-    in
-    List.map
-      (fun per_table ->
-        let tail = merge_star_row subject required optional per_table in
-        Array.of_list (Some key :: List.rev tail))
-      combos
-
-let star_join_mr wf ~name ~required ~optional =
-  let subject = star_subject_col required in
-  let all = required @ optional in
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun i t -> List.map (fun row -> (i, t, row)) t.Table.rows)
-         all)
-  in
-  let n = List.length all in
-  let spec : ((int * Table.t * Table.row), Term.t, (int * Table.row),
-              Table.row) Job.spec =
-    {
-      name;
-      map =
-        (fun (i, t, row) ->
-          match row.(Table.col_index t subject) with
-          | Some key -> [ (key, (i, row)) ]
-          | None -> []);
-      combine = None;
-      reduce =
-        (fun key tagged ->
-          let groups = Array.make n [] in
-          List.iter (fun (i, row) -> groups.(i) <- row :: groups.(i)) tagged;
-          Array.iteri (fun i g -> groups.(i) <- List.rev g) groups;
-          star_join_rows subject required optional key groups);
-      input_size = (fun (_, _, row) -> Table.row_size_bytes row);
-      key_size = (fun key -> String.length (Term.lexical key) + 2);
-      value_size = (fun (_, row) -> Table.row_size_bytes row + 1);
-      output_size = Table.row_size_bytes;
-    }
-  in
-  let rows = Workflow.run_job wf spec tagged in
-  Table.make ~name ~schema:(star_schema subject required optional) rows
-
-let star_join_map_only wf ~name ~required ~optional ~stream_index =
-  let subject = star_subject_col required in
-  let all = required @ optional in
-  let n = List.length all in
-  let stream = List.nth all stream_index in
-  (* Hash every non-streamed table by subject. *)
-  let indexes =
-    List.mapi
-      (fun i t ->
-        if i = stream_index then None
-        else begin
-          let tbl = Hashtbl.create (max 16 (Table.cardinality t)) in
-          List.iter
-            (fun row ->
-              match row.(Table.col_index t subject) with
-              | Some key ->
-                let existing =
-                  Option.value ~default:[] (Hashtbl.find_opt tbl key)
-                in
-                Hashtbl.replace tbl key (row :: existing)
-              | None -> ())
-            t.Table.rows;
-          Some tbl
-        end)
-      all
-  in
-  let spec : (Table.row, Table.row) Job.map_only_spec =
-    {
-      mo_name = name;
-      mo_map =
-        (fun row ->
-          match row.(Table.col_index stream subject) with
-          | None -> []
-          | Some key ->
-            let groups = Array.make n [] in
-            List.iteri
-              (fun i idx ->
-                groups.(i) <-
-                  (match idx with
-                  | None -> [ row ]
-                  | Some tbl ->
-                    Option.value ~default:[] (Hashtbl.find_opt tbl key)
-                    |> List.rev))
-              indexes;
-            star_join_rows subject required optional key groups);
-      mo_input_size = Table.row_size_bytes;
-      mo_output_size = Table.row_size_bytes;
-    }
-  in
-  let rows = Workflow.run_map_only wf spec stream.Table.rows in
-  Table.make ~name ~schema:(star_schema subject required optional) rows
+(* --- Star joins: map-only or reduce-side ------------------------------- *)
 
 let star_join wf ~name ~required ~optional =
   match required, optional with
   | [ only ], [] -> only
   | _ ->
-    let all = required @ optional in
-    let sizes = List.map Table.size_bytes all in
+    let sizes = List.map Table.size_bytes (required @ optional) in
     let max_size = List.fold_left max 0 sizes in
     let small_enough =
       List.length
         (List.filter
            (fun s -> s < (planner_of wf).Exec_ctx.map_join_threshold)
            sizes)
-      >= List.length all - 1
+      >= List.length sizes - 1
     in
-    (* The streamed table must be required (outer-joining a streamed
-       optional table cannot preserve required semantics map-side). *)
-    let stream_index =
-      let rec find i = function
-        | [] -> None
-        | s :: rest -> if s = max_size then Some i else find (i + 1) rest
-      in
-      find 0 sizes
+    (* The largest table streams. It must be required (outer-joining a
+       streamed optional table cannot preserve required semantics
+       map-side). *)
+    let stream =
+      match List.find_index (( = ) max_size) sizes with
+      | Some i when small_enough && i < List.length required ->
+        (* The map-only form hashes every non-streamed table; that build
+           side must also fit the task heap or each mapper would OOM. *)
+        let build_bytes = List.fold_left ( + ) 0 sizes - max_size in
+        if build_bytes < task_heap_bytes wf then Some i
+        else begin
+          note_mapjoin_fallback wf;
+          None
+        end
+      | _ -> None
     in
-    (match stream_index with
-    | Some i when small_enough && i < List.length required ->
-      (* The map-only form hashes every non-streamed table; that build
-         side must also fit the task heap or each mapper would OOM. *)
-      let build_bytes = List.fold_left ( + ) 0 sizes - max_size in
-      if build_bytes < task_heap_bytes wf then
-        star_join_map_only wf ~name ~required ~optional ~stream_index:i
-      else begin
-        note_mapjoin_fallback wf;
-        star_join_mr wf ~name ~required ~optional
-      end
-    | _ -> star_join_mr wf ~name ~required ~optional)
+    Mr_relops.star_join wf ?stream ~name ~required ~optional ()
 
 let pair_join wf ~name a b =
   let threshold = (planner_of wf).Exec_ctx.map_join_threshold in
@@ -424,16 +237,6 @@ let pair_join wf ~name a b =
 
 (* --- Filters and projections ------------------------------------------- *)
 
-let row_binding t row =
-  List.fold_left
-    (fun (b, i) col ->
-      let b =
-        match row.(i) with Some v -> Binding.bind b col v | None -> b
-      in
-      (b, i + 1))
-    (Binding.empty, 0) t.Table.schema
-  |> fst
-
 let apply_ready_filters table filters =
   let ready, pending =
     List.partition
@@ -441,17 +244,7 @@ let apply_ready_filters table filters =
         List.for_all (fun v -> Table.mem_col table v) (Ast.expr_vars e))
       filters
   in
-  match ready with
-  | [] -> (table, pending)
-  | _ ->
-    let table =
-      Relops.filter
-        (fun t row ->
-          let b = row_binding t row in
-          List.for_all (Binding.eval_filter b) ready)
-        table
-    in
-    (table, pending)
+  (Relops.filter_exprs ready table, pending)
 
 let project_needed table keep =
   let cols =
@@ -478,21 +271,11 @@ let ensure_total_row (sq : Analytical.subquery) table =
     { table with Table.rows = [ row ] }
   else table
 
-(* HAVING: filter the aggregated groups (map-side, no extra cycle). *)
-let apply_having (sq : Analytical.subquery) table =
-  match sq.Analytical.having with
-  | [] -> table
-  | having ->
-    Relops.filter
-      (fun t row ->
-        let b = row_binding t row in
-        List.for_all (Binding.eval_filter b) having)
-      table
-
 (* The post-aggregation finish of one subquery: default grand-total row,
-   then HAVING. *)
-let finish_subquery sq table =
-  apply_having sq (ensure_total_row sq table)
+   then HAVING, which filters the aggregated groups (map-side, no extra
+   cycle). *)
+let finish_subquery (sq : Analytical.subquery) table =
+  Relops.filter_exprs sq.having (ensure_total_row sq table)
 
 let final_join wf (q : Analytical.t) tables =
   let finish t =

@@ -1,10 +1,10 @@
 (** Shared physical-plan building blocks for the engines.
 
-    Scans translate triple patterns to variable-named columns so that all
-    later joins are natural joins; the star-join helpers implement Hive's
-    multiway same-key join (all triple patterns of a star join on the
-    subject in one MR cycle, map-only when the broadcast tables fit the
-    map-join threshold). *)
+    Scans translate triple patterns to variable-named columns, one per
+    distinct variable, so that all later joins are natural joins; the
+    join helpers choose between the map-only and reduce-side forms of
+    Hive's joins ({!Rapida_relational.Mr_relops}), by the map-join
+    threshold and the task heap. *)
 
 module Ast = Rapida_sparql.Ast
 module Analytical = Rapida_sparql.Analytical
@@ -90,21 +90,28 @@ val context : options -> Exec_ctx.t
 val hive_ctx : Exec_ctx.t -> Exec_ctx.t
 
 (** [tp_table vp tp] scans the VP partition of a triple pattern into a
-    table whose columns are named by the pattern's variables. Constant
-    objects are filtered out and dropped; rdf:type patterns read the
-    per-class partition. @raise Invalid_argument on unbound properties. *)
+    table whose columns are named by the pattern's variables, one column
+    per distinct variable ([?x p ?x] keeps the triples with s = o).
+    Constant objects are filtered out and dropped; rdf:type patterns
+    read the per-class partition, or the union of them for a variable
+    class. An unbound property scans every partition.
+    @raise Invalid_argument on a constant subject with a bound
+    property. *)
 val tp_table : Vp_store.t -> Ast.triple_pattern -> Table.t
 
 (** [ctp_table vp ~subject_var ctp] scans a composite triple pattern,
-    always keeping an object column (constant objects become a filtered
-    witness column) — the form the MQO rewriting needs. *)
+    keeping an object column (constant objects become a filtered
+    witness column) — the form the MQO rewriting needs. An object
+    variable that is the subject's keeps the triples with s = o in one
+    column. *)
 val ctp_table : Vp_store.t -> subject_var:Ast.var -> Composite.ctp -> Table.t
 
-(** [star_join wf ~name ~required ~optional] joins tables sharing
-    their subject column in one MR cycle (Hive merges same-key joins):
-    inner on [required], left-outer on [optional]. Becomes a map-only
-    cycle when every table but the largest required one fits the map-join
-    threshold of the workflow's context {e and} the combined build side
+(** [star_join wf ~name ~required ~optional] is
+    {!Rapida_relational.Mr_relops.star_join}: tables sharing their
+    subject column joined in one MR cycle, inner on [required],
+    left-outer on [optional]. It is a map-only cycle when every table
+    but the largest required one fits the map-join threshold of the
+    workflow's context {e and} the combined build side
     fits the cluster's per-task heap — otherwise it degrades to the
     reduce-side form (counted in the [mem.mapjoin_fallbacks] metric). A
     single required table with no optionals is returned as-is (a scan is
@@ -133,16 +140,10 @@ val project_needed : Table.t -> Ast.var list -> Table.t
     group-by. *)
 val agg_specs : Analytical.subquery -> Rapida_relational.Relops.agg_spec list
 
-(** [ensure_total_row sq table] adds the default all-empty-aggregates row
-    for a GROUP BY ALL subquery whose input was empty. *)
-val ensure_total_row : Analytical.subquery -> Table.t -> Table.t
-
-(** [apply_having sq table] filters the aggregated groups with the
-    subquery's HAVING clauses (map-side, no extra cycle). *)
-val apply_having : Analytical.subquery -> Table.t -> Table.t
-
-(** [finish_subquery sq table] is {!ensure_total_row} then
-    {!apply_having} — the post-aggregation finish every engine applies. *)
+(** [finish_subquery sq table] is the post-aggregation finish every
+    engine applies: the default all-empty-aggregates row for a GROUP BY
+    ALL subquery whose input was empty, then the subquery's HAVING
+    clauses (map-side, no extra cycle). *)
 val finish_subquery : Analytical.subquery -> Table.t -> Table.t
 
 (** [final_join wf q tables] joins the per-subquery result tables

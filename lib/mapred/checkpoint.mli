@@ -26,7 +26,7 @@
       jobs ride for free, expensive outputs are protected. With an
       unreachable budget this is "recovery on, checkpoints off": a
       failure replays the whole plan, which is the reference point
-      {!Experiment.recovery_sweep} compares savings against. *)
+      [bench recovery] compares savings against. *)
 type policy = Never | Every_k of int | Adaptive of int
 
 type config = {

@@ -12,72 +12,94 @@ let opt_key_size key =
       acc + match c with Some t -> String.length (Term.lexical t) + 2 | None -> 1)
     4 key
 
-(* Tagged rows: which side of the join a shuffled row came from. *)
-type side = L | R
-
-let repartition_join wf ?(kind = `Inner) ~name a b =
-  let shared = Relops.shared_cols a b in
-  let schema = Relops.join_schema a b in
-  let tag side t row = (side, t, row) in
-  let input = List.map (tag L a) a.Table.rows @ List.map (tag R b) b.Table.rows in
-  let spec : ((side * Table.t * Table.row),
-              Term.t list option,
-              (side * Table.row),
-              Table.row) Job.spec =
+(* A reduce-side join: each input row is shuffled, tagged with its
+   input's index, on [job_key] of that index (no key: the row is
+   dropped), and the kernel joins each key's per-input row groups. *)
+let shuffle_join wf ~name ~job_key ~key_size j tables =
+  let n = List.length tables in
+  let input =
+    List.concat
+      (List.mapi (fun i t -> List.map (fun row -> (i, row)) t.Table.rows) tables)
+  in
+  let spec : ((int * Table.row), _, (int * Table.row), Table.row) Job.spec =
     {
       name;
       map =
-        (fun (side, t, row) ->
-          match Relops.key_of_row t shared row with
-          | Some key -> [ (Some key, (side, row)) ]
-          | None -> (
-            (* NULL join keys never match; in a left-outer join the left
-               row must still survive, so route it to a private key. *)
-            match side, kind with
-            | L, `Left_outer -> [ (None, (L, row)) ]
-            | (L | R), (`Inner | `Left_outer) -> []));
+        (fun ((i, row) as tagged) ->
+          match job_key i row with
+          | Some key -> [ (key, tagged) ]
+          | None -> []);
       combine = None;
       reduce =
         (fun _key tagged ->
-          (* The private NULL key holds left rows only: all come out
-             NULL-padded. *)
-          let lefts =
-            List.filter_map (function L, r -> Some r | R, _ -> None) tagged
-          in
-          let rights =
-            List.filter_map (function R, r -> Some r | L, _ -> None) tagged
-          in
-          List.concat_map
-            (fun left_row ->
-              match rights, kind with
-              | [], `Left_outer -> [ Relops.null_extend a b ~left_row ]
-              | [], `Inner -> []
-              | rights, (`Inner | `Left_outer) ->
-                List.map
-                  (fun right_row -> Relops.merge_rows a b ~left_row ~right_row)
-                  rights)
-            lefts);
-      input_size = (fun (_, _, row) -> Table.row_size_bytes row);
-      key_size =
-        (fun key -> match key with Some k -> key_size k | None -> 4);
+          let groups = Array.make n [] in
+          List.fold_right
+            (fun (i, row) () -> groups.(i) <- row :: groups.(i))
+            tagged ();
+          Relops.join_groups j groups);
+      input_size = (fun (_, row) -> Table.row_size_bytes row);
+      key_size;
       value_size = (fun (_, row) -> Table.row_size_bytes row + 1);
       output_size = Table.row_size_bytes;
     }
   in
-  let rows = Workflow.run_job wf spec input in
-  Table.make ~name ~schema rows
+  Table.make ~name ~schema:(Relops.join_schema j)
+    (Workflow.run_job wf spec input)
 
-let map_join wf ?kind ~name ~big ~small () =
+(* A map-only join: each row of input [stream] probes the others, which
+   every mapper hashes once per job. *)
+let probe_join wf ~name ~stream j (t : Table.t) =
   let spec : (Table.row, Table.row) Job.map_only_spec =
     {
       mo_name = name;
-      mo_map = Relops.hash_prober ?kind big small;
+      mo_map = Relops.join_prober j ~stream;
       mo_input_size = Table.row_size_bytes;
       mo_output_size = Table.row_size_bytes;
     }
   in
-  let rows = Workflow.run_map_only wf spec big.Table.rows in
-  Table.make ~name ~schema:(Relops.join_schema big small) rows
+  Table.make ~name ~schema:(Relops.join_schema j)
+    (Workflow.run_map_only wf spec t.Table.rows)
+
+let pair ~kind a b =
+  Relops.natural_join ~key:(Relops.shared_cols a b) [ (`Inner, a); (kind, b) ]
+
+let repartition_join wf ?(kind = `Inner) ~name a b =
+  let j = pair ~kind a b in
+  shuffle_join wf ~name j [ a; b ]
+    ~job_key:(fun i row ->
+      match Relops.join_key j i row with
+      | Some key -> Some (Some key)
+      | None ->
+        (* NULL join keys never match; in a left-outer join the left
+           row must still survive, so route it to a private key, where
+           it comes out NULL-padded. *)
+        if i = 0 && kind = `Left_outer then Some None else None)
+    ~key_size:(function Some k -> key_size k | None -> 4)
+
+let map_join wf ?(kind = `Inner) ~name ~big ~small () =
+  probe_join wf ~name ~stream:0 (pair ~kind big small) big
+
+let star_join wf ?stream ~name ~required ~optional () =
+  let subject =
+    match required with
+    | t :: _ -> List.hd t.Table.schema
+    | [] -> invalid_arg "star_join: no required tables"
+  in
+  let j =
+    Relops.natural_join ~key:[ subject ]
+      (List.map (fun t -> (`Inner, t)) required
+      @ List.map (fun t -> (`Left_outer, t)) optional)
+  in
+  match stream with
+  | Some i -> probe_join wf ~name ~stream:i j (List.nth required i)
+  | None ->
+    let tables = required @ optional in
+    let subject_at =
+      Array.of_list (List.map (fun t -> Table.col_index t subject) tables)
+    in
+    shuffle_join wf ~name j tables
+      ~job_key:(fun i row -> row.(subject_at.(i)))
+      ~key_size:(fun key -> String.length (Term.lexical key) + 2)
 
 let group_aggregate wf ~name ~keys ~aggs t =
   let key_idx = List.map (Table.col_index t) keys in

@@ -8,6 +8,9 @@
     GROUP BY shuffles partial aggregation states computed map-side (the
     combiner / hash-aggregation optimization). *)
 
+(** [repartition_join wf ?kind ~name a b] is the natural join of [a] and
+    [b] ({!Relops.natural_join}) as one MR cycle: both sides shuffle on
+    their shared columns and each reducer joins its key's rows. *)
 val repartition_join :
   Rapida_mapred.Workflow.t ->
   ?kind:[ `Inner | `Left_outer ] ->
@@ -16,11 +19,23 @@ val repartition_join :
 (** [map_join wf ~name ~big ~small] broadcasts [small] to all mappers.
     [small] must be the right side of the natural join. Like Hive's local
     hashtable task, it hashes [small] once per job; each streamed row of
-    [big] only probes ({!Relops.hash_prober}). *)
+    [big] only probes ({!Relops.join_prober}). *)
 val map_join :
   Rapida_mapred.Workflow.t ->
   ?kind:[ `Inner | `Left_outer ] ->
   name:string -> big:Table.t -> small:Table.t -> unit -> Table.t
+
+(** [star_join wf ?stream ~name ~required ~optional ()] joins tables
+    sharing their first column, the star's subject, in one MR cycle, as
+    Hive merges same-key joins: inner on [required], left-outer on
+    [optional], natural on every column shared ({!Relops.natural_join}).
+    With [~stream:i] it is a map-only cycle streaming the [i]-th
+    required table past the others, broadcast; otherwise every row
+    shuffles on its subject. Star subjects come from scans and are
+    never NULL; a row with a NULL subject is dropped. *)
+val star_join :
+  Rapida_mapred.Workflow.t -> ?stream:int -> name:string ->
+  required:Table.t list -> optional:Table.t list -> unit -> Table.t
 
 val group_aggregate :
   Rapida_mapred.Workflow.t ->

@@ -30,69 +30,143 @@ let rename_cols t renames =
 let shared_cols a b =
   List.filter (fun c -> Table.mem_col b c) a.Table.schema
 
-let right_only_cols a b =
-  List.filter (fun c -> not (Table.mem_col a c)) b.Table.schema
+type join = {
+  schema : string list;
+  arity : int;
+  inputs : Table.t array;
+  kinds : [ `Inner | `Left_outer ] array;
+  keys : int array array;  (** per input: positions of the key columns *)
+  checks : (int * int) array array;
+      (** per input: (output position, its position) of each non-key
+          column an earlier input introduced *)
+  copies : (int * int) array array;
+      (** per input: (its position, output position) of each column it
+          introduces *)
+}
 
-let join_schema a b = a.Table.schema @ right_only_cols a b
+let natural_join ~key inputs =
+  let kinds = Array.of_list (List.map fst inputs) in
+  let inputs = Array.of_list (List.map snd inputs) in
+  (* The first input has nothing on its left to preserve. *)
+  kinds.(0) <- `Inner;
+  (* The output columns so far with their positions, last first. *)
+  let cols = ref [] in
+  let checks = Array.make (Array.length inputs) [||] in
+  let copies = Array.make (Array.length inputs) [||] in
+  Array.iteri
+    (fun i (t : Table.t) ->
+      let check = ref [] and copy = ref [] in
+      List.iteri
+        (fun p c ->
+          match List.assoc_opt c !cols with
+          | Some o -> if not (List.mem c key) then check := (o, p) :: !check
+          | None ->
+            copy := (p, List.length !cols) :: !copy;
+            cols := (c, List.length !cols) :: !cols)
+        t.schema;
+      checks.(i) <- Array.of_list !check;
+      copies.(i) <- Array.of_list !copy)
+    inputs;
+  {
+    schema = List.rev_map fst !cols;
+    arity = List.length !cols;
+    inputs;
+    kinds;
+    keys =
+      Array.map
+        (fun t -> Array.of_list (List.map (Table.col_index t) key))
+        inputs;
+    checks;
+    copies;
+  }
 
-let merge_rows a b ~left_row ~right_row =
-  let extra = right_only_cols a b in
-  let extras =
-    List.map (fun c -> right_row.(Table.col_index b c)) extra
-  in
-  Array.append left_row (Array.of_list extras)
-
-let null_extend a b ~left_row =
-  let extra = right_only_cols a b in
-  Array.append left_row (Array.make (List.length extra) None)
+let join_schema j = j.schema
 
 (* The values at [idx]; [None] when any is NULL. *)
 let key_at idx (row : Table.row) =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | i :: rest -> (
-      match row.(i) with Some v -> go (v :: acc) rest | None -> None)
+  let rec go acc k =
+    if k < 0 then Some acc
+    else match row.(idx.(k)) with Some v -> go (v :: acc) (k - 1) | None -> None
   in
-  go [] idx
+  go [] (Array.length idx - 1)
 
-let key_of_row t cols row = key_at (List.map (Table.col_index t) cols) row
+let join_key j i row = key_at j.keys.(i) row
 
-let hash_prober ?(kind = `Inner) a b =
-  let shared = shared_cols a b in
-  let a_key = List.map (Table.col_index a) shared in
-  let b_key = List.map (Table.col_index b) shared in
-  let extra =
-    Array.of_list (List.map (Table.col_index b) (right_only_cols a b))
+(* Does [r] agree with [row] on [checks] from the [k]-th on? NULL never
+   equals anything. *)
+let rec agrees checks row (r : Table.row) k =
+  k = Array.length checks
+  ||
+  let o, p = checks.(k) in
+  (match row.(o), r.(p) with Some x, Some y -> Term.equal x y | _ -> false)
+  && agrees checks row r (k + 1)
+
+(* [join_from j groups row i out] joins inputs [i..] onto [row], the
+   output row being built: inputs [0..i-1]'s columns hold the rows chosen
+   for them, NULL for a padded left-outer input. Each completed row is
+   pushed onto [out]. [join_rows] tries input [i]'s rows [rs] in order;
+   [matched] tells whether an earlier one matched. *)
+let rec join_from j groups row i out =
+  if i = Array.length groups then Array.copy row :: out
+  else join_rows j groups row i false out groups.(i)
+
+and join_rows j groups row i matched out rs =
+  let copies = j.copies.(i) in
+  match rs with
+  | r :: rest when agrees j.checks.(i) row r 0 ->
+    for k = 0 to Array.length copies - 1 do
+      let p, o = copies.(k) in
+      row.(o) <- r.(p)
+    done;
+    join_rows j groups row i true (join_from j groups row (i + 1) out) rest
+  | _ :: rest -> join_rows j groups row i matched out rest
+  | [] when (not matched) && j.kinds.(i) = `Left_outer ->
+    Array.iter (fun (_, o) -> row.(o) <- None) copies;
+    join_from j groups row (i + 1) out
+  | [] -> out
+
+let join_groups j groups =
+  List.rev (join_from j groups (Array.make j.arity None) 0 [])
+
+let join_prober j ~stream =
+  if j.kinds.(stream) = `Left_outer then
+    invalid_arg "Relops.join_prober: cannot stream a left-outer input";
+  let indexes =
+    Array.mapi
+      (fun i (t : Table.t) ->
+        let size = if i = stream then 1 else max 16 (Table.cardinality t) in
+        let index = Hashtbl.create size in
+        (* Added last row first, so each bucket lists its rows in order. *)
+        if i <> stream then
+          List.iter
+            (fun row ->
+              match join_key j i row with
+              | Some key ->
+                let existing =
+                  Option.value ~default:[] (Hashtbl.find_opt index key)
+                in
+                Hashtbl.replace index key (row :: existing)
+              | None -> ())
+            (List.rev t.rows);
+        index)
+      j.inputs
   in
-  let index = Hashtbl.create (max 16 (Table.cardinality b)) in
-  (* Added last row first, so each bucket lists its rows in [b]'s order. *)
-  List.iter
-    (fun row ->
-      match key_at b_key row with
+  fun row ->
+    let groups =
+      match join_key j stream row with
       | Some key ->
-        let existing = Option.value ~default:[] (Hashtbl.find_opt index key) in
-        Hashtbl.replace index key (row :: existing)
-      | None -> ())
-    (List.rev b.Table.rows);
-  let nulls = Array.make (Array.length extra) None in
-  fun left_row ->
-    let matches =
-      match key_at a_key left_row with
-      | Some key -> Option.value ~default:[] (Hashtbl.find_opt index key)
-      | None -> []
+        Array.map
+          (fun index -> Option.value ~default:[] (Hashtbl.find_opt index key))
+          indexes
+      | None -> Array.make (Array.length indexes) []
     in
-    match matches, kind with
-    | [], `Inner -> []
-    | [], `Left_outer -> [ Array.append left_row nulls ]
-    | rows, (`Inner | `Left_outer) ->
-      List.map
-        (fun right_row ->
-          Array.append left_row (Array.map (fun i -> right_row.(i)) extra))
-        rows
+    groups.(stream) <- [ row ];
+    join_groups j groups
 
-let hash_join ?kind ~name a b =
-  Table.make ~name ~schema:(join_schema a b)
-    (List.concat_map (hash_prober ?kind a b) a.Table.rows)
+let hash_join ?(kind = `Inner) ~name a b =
+  let j = natural_join ~key:(shared_cols a b) [ (`Inner, a); (kind, b) ] in
+  Table.make ~name ~schema:j.schema
+    (List.concat_map (join_prober j ~stream:0) a.Table.rows)
 
 (* Group keys are option lists so NULLs group together (SQL semantics). *)
 let group_by ~name ~keys ~aggs t =
@@ -160,33 +234,44 @@ let distinct t =
   in
   { t with Table.rows = rows }
 
+(* A row as a binding of its columns; NULL cells stay unbound. *)
+let binding_of_row t row =
+  List.fold_left
+    (fun (b, i) col ->
+      let b =
+        match row.(i) with
+        | Some v -> Rapida_sparql.Binding.bind b col v
+        | None -> b
+      in
+      (b, i + 1))
+    (Rapida_sparql.Binding.empty, 0)
+    t.Table.schema
+  |> fst
+
+let filter_exprs exprs t =
+  match exprs with
+  | [] -> t
+  | exprs ->
+    filter
+      (fun t row ->
+        let b = binding_of_row t row in
+        List.for_all (Rapida_sparql.Binding.eval_filter b) exprs)
+      t
+
 (* Evaluate the outer SELECT's projection expressions over each row. A row
-   becomes a binding (NULL cells unbound); Svar items copy columns, Sexpr
-   items evaluate arithmetic over them. *)
+   becomes a binding; Svar items copy columns, Sexpr items evaluate
+   arithmetic over them. *)
 let project_exprs ~name items t =
   match items with
   | [] -> Table.rename t name
   | items ->
-    let binding_of_row row =
-      List.fold_left
-        (fun (b, i) col ->
-          let b =
-            match row.(i) with
-            | Some v -> Rapida_sparql.Binding.bind b col v
-            | None -> b
-          in
-          (b, i + 1))
-        (Rapida_sparql.Binding.empty, 0)
-        t.Table.schema
-      |> fst
-    in
     let schema =
       List.map (function Ast.Svar v -> v | Ast.Sexpr (_, out) -> out) items
     in
     let rows =
       List.map
         (fun row ->
-          let b = binding_of_row row in
+          let b = binding_of_row t row in
           Array.of_list
             (List.map
                (function
@@ -198,13 +283,7 @@ let project_exprs ~name items t =
     Table.make ~name ~schema rows
 
 let row_compare (a : Table.row) (b : Table.row) =
-  let cell_compare x y =
-    match x, y with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some s, Some t -> Term.compare s t
-  in
+  let cell_compare x y = Option.compare Term.compare x y in
   let la = Array.length a and lb = Array.length b in
   let rec go i =
     if i >= la && i >= lb then 0
@@ -249,18 +328,14 @@ let order_limit ~order_by ~limit t =
     match order_by with
     | [] -> t.Table.rows
     | keys ->
-      let key_compare a b =
-        let cell_value row col = row.(Table.col_index t col) in
-        let value_compare x y =
-          match x, y with
-          | None, None -> 0
-          | None, Some _ -> -1
-          | Some _, None -> 1
-          | Some s, Some u -> (
+      let value_compare =
+        Option.compare (fun s u ->
             match Term.as_number s, Term.as_number u with
             | Some fs, Some fu -> Float.compare fs fu
             | _ -> Term.compare s u)
-        in
+      in
+      let key_compare a b =
+        let cell_value row col = row.(Table.col_index t col) in
         let rec go = function
           | [] -> row_compare a b
           | key :: rest ->

@@ -19,6 +19,11 @@ type agg_spec = {
 
 val filter : (Table.t -> Table.row -> bool) -> Table.t -> Table.t
 
+(** [filter_exprs exprs t] keeps the rows satisfying every FILTER
+    expression of [exprs], each row a binding of its columns (NULL cells
+    unbound). *)
+val filter_exprs : Ast.expr list -> Table.t -> Table.t
+
 (** [project t cols] keeps [cols] in order.
     @raise Not_found on a missing column. *)
 val project : Table.t -> string list -> Table.t
@@ -29,33 +34,48 @@ val rename_cols : Table.t -> (string * string) list -> Table.t
 (** [shared_cols a b] is the natural-join columns, in [a]'s order. *)
 val shared_cols : Table.t -> Table.t -> string list
 
-(** [join_schema a b] is [a]'s schema followed by [b]'s non-shared
-    columns — the schema a natural join produces. *)
-val join_schema : Table.t -> Table.t -> string list
+(** An N-input same-key natural join with every key, comparison and
+    output column position resolved once per operator: the one code that
+    merges joined rows, run by the in-memory join and every MapReduce
+    join ({!Mr_relops}).
 
-(** [merge_rows a b ~left_row ~right_row] builds an output row of
-    [join_schema a b] from matched rows. *)
-val merge_rows :
-  Table.t -> Table.t -> left_row:Table.row -> right_row:Table.row -> Table.row
+    Inputs join left to right, each later one inner or left-outer on
+    every column it shares with the rows so far; NULL equals nothing, and
+    an unmatched left-outer input leaves its new columns NULL. The output
+    schema is the first input's followed by each later input's new
+    columns. Rows come in input order: the first input's outermost, each
+    later input's matches in its row order. *)
+type join
 
-(** [null_extend a b ~left_row] pads a left row with NULLs for [b]'s
-    non-shared columns (left-outer non-match). *)
-val null_extend : Table.t -> Table.t -> left_row:Table.row -> Table.row
+(** [natural_join ~key inputs] compiles the join of [inputs] (the first
+    one's kind is not used). [key] names columns every input has; the
+    join runs on groups of rows that agree on them, and checks every
+    other shared column itself. *)
+val natural_join :
+  key:string list -> ([ `Inner | `Left_outer ] * Table.t) list -> join
 
-(** [key_of_row t cols row] is the values of [cols]; [None] when any is
-    NULL (NULL never equi-joins). *)
-val key_of_row : Table.t -> string list -> Table.row -> Term.t list option
+val join_schema : join -> string list
 
-(** [hash_prober ?kind a b] is the hash-join kernel: applying it to [a]
-    and [b] indexes [b] by the shared columns, once; the result probes
-    one row of [a]'s schema, giving {!hash_join}'s output rows for it,
-    matches in [b]'s row order. *)
-val hash_prober :
-  ?kind:[ `Inner | `Left_outer ] -> Table.t -> Table.t -> Table.row ->
-  Table.row list
+(** [join_key j i row] is the key of a row of input [i]; [None] when a
+    key cell is NULL (such a row matches nothing). *)
+val join_key : join -> int -> Table.row -> Term.t list option
 
-(** [hash_join ?kind ~name a b] is the natural join, {!hash_prober}
-    applied to each row of [a]. NULL keys do not match; with
+(** [join_groups j groups] joins one key's rows: [groups.(i)] holds
+    input [i]'s rows with that key, in input order. The reduce-side
+    form. *)
+val join_groups : join -> Table.row list array -> Table.row list
+
+(** [join_prober j ~stream] is the map-side form: it indexes every other
+    input by key, once; the result joins one row of input [stream],
+    giving the output rows it takes part in, in the join's order.
+    Streaming the rows of input [stream] in order gives every output
+    row, ordered by its input-[stream] row first (the join's own order
+    when [stream = 0]).
+    @raise Invalid_argument when input [stream] is left-outer. *)
+val join_prober : join -> stream:int -> Table.row -> Table.row list
+
+(** [hash_join ?kind ~name a b] is the natural join of [a] and [b] on
+    their shared columns, streaming [a]. NULL keys do not match; with
     [`Left_outer], unmatched left rows survive NULL-padded. *)
 val hash_join :
   ?kind:[ `Inner | `Left_outer ] -> name:string -> Table.t -> Table.t ->

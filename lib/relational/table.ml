@@ -5,6 +5,14 @@ type row = Term.t option array
 type t = { name : string; schema : string list; rows : row list }
 
 let make ~name ~schema rows =
+  let rec check_unique = function
+    | [] -> ()
+    | c :: rest ->
+      if List.mem c rest then
+        invalid_arg (Printf.sprintf "Table.make %s: repeated column %s" name c);
+      check_unique rest
+  in
+  check_unique schema;
   List.iter
     (fun row ->
       if Array.length row <> List.length schema then
@@ -25,8 +33,6 @@ let col_index t name =
 let mem_col t name = List.exists (String.equal name) t.schema
 let arity t = List.length t.schema
 let cardinality t = List.length t.rows
-
-let cell (row : row) i = row.(i)
 
 let row_size_bytes row =
   Array.fold_left

@@ -10,6 +10,10 @@ type row = Term.t option array
 
 type t = { name : string; schema : string list; rows : row list }
 
+(** [make ~name ~schema rows] builds a table. A column name is a query
+    variable, so it appears at most once.
+    @raise Invalid_argument on a repeated column name or a row whose
+    arity is not the schema's. *)
 val make : name:string -> schema:string list -> row list -> t
 
 (** [col_index t name] is the position of column [name].
@@ -19,9 +23,6 @@ val col_index : t -> string -> int
 val mem_col : t -> string -> bool
 val arity : t -> int
 val cardinality : t -> int
-
-(** [cell row i] is the value at column [i] (None = NULL). *)
-val cell : row -> int -> Term.t option
 
 (** [row_size_bytes row] estimates serialized row size. *)
 val row_size_bytes : row -> int

@@ -63,15 +63,12 @@ let type_table store cls =
   | Some t -> t
   | None -> Table.make ~name:("type_" ^ local_name cls) ~schema:[ "s" ] []
 
-let partitions store =
-  Term_tbl.fold (fun p t acc -> (p, t) :: acc) store.props []
-  @ Term_tbl.fold (fun c t acc -> (c, t) :: acc) store.types []
+let bindings tbl = Term_tbl.fold (fun k t acc -> (k, t) :: acc) tbl []
+let property_partitions store = bindings store.props
+let class_partitions store = bindings store.types
 
 let stats store =
   List.fold_left
     (fun (n, bytes) (_, t) -> (n + 1, bytes + Table.size_bytes t))
-    (0, 0) (partitions store)
-
-let pp ppf store =
-  let n, bytes = stats store in
-  Fmt.pf ppf "vp-store: %d partitions, %d bytes" n bytes
+    (0, 0)
+    (property_partitions store @ class_partitions store)

@@ -18,11 +18,11 @@ val property_table : t -> Term.t -> Table.t
     [class_]. *)
 val type_table : t -> Term.t -> Table.t
 
-(** All (property, table) partitions, type partitions keyed by class
-    term. *)
-val partitions : t -> (Term.t * Table.t) list
+(** Every (property, (s, o) table) partition but [rdf:type]'s. *)
+val property_partitions : t -> (Term.t * Table.t) list
+
+(** Every (class, (s) table) partition of the [rdf:type] triples. *)
+val class_partitions : t -> (Term.t * Table.t) list
 
 (** [stats store] is (number of partitions, total bytes). *)
 val stats : t -> int * int
-
-val pp : t Fmt.t
