@@ -44,6 +44,18 @@ let aggregate_of_expr out = function
     Error "aggregate arguments must be plain variables"
   | _ -> Error "subquery projections must be variables or aggregates"
 
+(* [xs] without its repeats, in first-occurrence order: GROUP BY ?v ?v
+   groups by ?v, and SELECT ?v ?v projects it once. *)
+let dedup xs =
+  List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
+
+(* Each output column is named once, so AS must name a new variable. *)
+let check_fresh names =
+  let twice v = List.length (List.filter (String.equal v) names) > 1 in
+  match List.find_opt twice names with
+  | Some v -> Error (Printf.sprintf "?%s is projected twice" v)
+  | None -> Ok ()
+
 let subquery_of_select sq_id (s : Ast.select) =
   let* () =
     if s.order_by <> [] || s.limit <> None then
@@ -81,9 +93,11 @@ let subquery_of_select sq_id (s : Ast.select) =
           (Printf.sprintf "GROUP BY variable ?%s not bound by the pattern"
              (List.hd missing))
       else
+        let group_by = dedup s.group_by in
         let outputs =
-          s.group_by @ List.map (fun (a : aggregate) -> a.out) aggregates
+          group_by @ List.map (fun (a : aggregate) -> a.out) aggregates
         in
+        let* () = check_fresh outputs in
         let bad_having =
           List.concat_map Ast.expr_vars s.having
           |> List.filter (fun v -> not (List.mem v outputs))
@@ -95,7 +109,7 @@ let subquery_of_select sq_id (s : Ast.select) =
                (List.hd bad_having))
         else
           Ok { sq_id; bgp = triples; stars; edges; filters;
-               group_by = s.group_by; aggregates; having = s.having }
+               group_by; aggregates; having = s.having }
 
 let of_query (q : Ast.query) =
   let s = q.base_select in
@@ -120,7 +134,14 @@ let of_query (q : Ast.query) =
           build (i + 1) (sq :: acc) rest
       in
       let* subqueries = build 0 [] subs in
-      Ok { subqueries; outer_projection = s.projection;
+      let outer_projection = dedup s.projection in
+      let* () =
+        check_fresh
+          (List.map
+             (function Ast.Svar v -> v | Ast.Sexpr (_, out) -> out)
+             outer_projection)
+      in
+      Ok { subqueries; outer_projection;
            order_by = s.order_by; limit = s.limit }
 
 let of_query_exn q =

@@ -257,6 +257,18 @@ let test_analytical_multi () =
   let b = List.nth t.Analytical.subqueries 1 in
   Alcotest.(check (list string)) "join vars" [] (Analytical.join_vars a b)
 
+let test_analytical_repeats () =
+  let t =
+    Analytical.parse_exn
+      {|SELECT ?g ?g ?c ?t {
+        { SELECT ?g (COUNT(?x) AS ?c) { ?s k ?g . ?s v ?x . } GROUP BY ?g ?g }
+        { SELECT ?g (COUNT(?x1) AS ?t) { ?s1 k ?g . ?s1 v ?x1 . } GROUP BY ?g }
+      }|}
+  in
+  Alcotest.(check (list string)) "grouped once" [ "g"; "c" ]
+    (Analytical.output_columns (List.hd t.Analytical.subqueries));
+  check_int "projected once" 3 (List.length t.Analytical.outer_projection)
+
 let test_analytical_errors () =
   List.iter
     (fun src ->
@@ -266,6 +278,12 @@ let test_analytical_errors () =
     [
       (* projected var not grouped *)
       "SELECT ?g (COUNT(?x) AS ?c) { ?g v ?x . }";
+      (* AS naming a grouped variable, another aggregate, an outer column *)
+      "SELECT ?g (COUNT(?x) AS ?g) { ?g v ?x . } GROUP BY ?g";
+      "SELECT (COUNT(?x) AS ?c) (SUM(?x) AS ?c) { ?g v ?x . }";
+      {|SELECT ?c ((?c + 1) AS ?c) {
+        { SELECT (COUNT(?x) AS ?c) { ?g v ?x . } }
+        { SELECT (COUNT(?y) AS ?d) { ?g w ?y . } } }|};
       (* no aggregates *)
       "SELECT ?g { ?g v ?x . } GROUP BY ?g";
       (* group var unbound *)
@@ -484,6 +502,8 @@ let suite =
     Alcotest.test_case "analytical single" `Quick test_analytical_single;
     Alcotest.test_case "analytical multi" `Quick test_analytical_multi;
     Alcotest.test_case "analytical errors" `Quick test_analytical_errors;
+    Alcotest.test_case "analytical repeated names" `Quick
+      test_analytical_repeats;
     Alcotest.test_case "binding merge" `Quick test_binding_merge;
     Alcotest.test_case "filter evaluation" `Quick test_filter_eval;
     Alcotest.test_case "aggregate basics" `Quick test_aggregate_basics;
